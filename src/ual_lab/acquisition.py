@@ -25,7 +25,6 @@ __all__ = [
     "DIRECT_MSE",
     "UPPER_BOUND",
     "StrategySpec",
-    "ScoredPool",
     "score_variance",
     "score_random",
     "score_direct_mse",
@@ -75,15 +74,6 @@ class StrategySpec:
                 raise ValueError("gradient_bound must be > 0")
             if not 0.0 < self.confidence < 1.0:
                 raise ValueError("confidence must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class ScoredPool:
-    """Scores for the active candidates and the winning index."""
-
-    indices: np.ndarray  # active candidate indices, ascending
-    scores: np.ndarray
-    chosen_index: int
 
 
 def score_variance(model, xs) -> np.ndarray:
@@ -149,9 +139,3 @@ def select(pool: UnlabeledPool, scores) -> int:
             f"got shape {scores.shape}"
         )
     return int(active[int(np.argmax(scores))])
-
-
-def score_pool(pool: UnlabeledPool, scores) -> ScoredPool:
-    """Bundle scores with the selection for bookkeeping."""
-    chosen = select(pool, scores)
-    return ScoredPool(pool.active_indices(), np.asarray(scores, dtype=float), chosen)

@@ -4,6 +4,8 @@ One run: fit on the initial labeled set, record step 0, then repeatedly
 score the pool, query the winner's label, refit from scratch, and record
 the test error. Refits are always on the full labeled set, so the final
 model depends only on which points were acquired, not in what order.
+Both learners return a :class:`FittedModel`, the one type the loop and
+the acquisition scores predict through.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Optional, Protocol
 import numpy as np
 
 from . import acquisition as acq
-from .bpr import BprPosterior, BprPrior, default_prior, posterior_update, predictive_batch
+from .bpr import BprPosterior, default_prior, posterior_update, predictive_batch
 from .gpr import GpModel, KernelSpec, fit_lengthscale_grid, gp_fit, gp_predict_batch
 from .rng import derive_rng
 from .synthetic import GroundTruthTarget, LabeledSet, TestSet, UnlabeledPool, eval_target
@@ -22,11 +24,11 @@ from .synthetic import GroundTruthTarget, LabeledSet, TestSet, UnlabeledPool, ev
 __all__ = [
     "VS_CLEAN",
     "VS_OBSERVED",
-    "PoolState",
     "StepRecord",
     "RunTrace",
     "SyntheticOracle",
     "TableOracle",
+    "FittedModel",
     "BprLearner",
     "GprLearner",
     "run_al",
@@ -38,19 +40,8 @@ VS_OBSERVED = "vs_observed"
 
 
 @dataclass(frozen=True)
-class PoolState:
-    """Labeled set and remaining pool at one step of a run."""
-
-    labeled: LabeledSet
-    pool: UnlabeledPool
-    step: int
-
-
-@dataclass(frozen=True)
 class StepRecord:
     step: int
-    strategy: str
-    model_id: str
     chosen_x: Optional[np.ndarray]  # None for the pre-acquisition record
     test_mse: float
     bias: Optional[float] = None
@@ -60,7 +51,6 @@ class StepRecord:
 @dataclass(frozen=True)
 class RunTrace:
     records: tuple[StepRecord, ...]
-    terminal: bool
 
     def mse_at(self, step: int) -> float:
         return self.records[step].test_mse
@@ -100,81 +90,61 @@ class TableOracle:
         return float(self._outputs[index])
 
 
-class _BprFit:
-    """A fitted polynomial posterior behind the common model interface."""
+@dataclass(frozen=True)
+class FittedModel:
+    """A fitted polynomial posterior or GP behind one prediction interface.
 
-    def __init__(self, post: BprPosterior, model_id: str):
-        self._post = post
-        self.model_id = model_id
-        self.noise_variance = post.noise_variance
+    Predictive variances include the noise floor, so variance scores of the
+    two model kinds sit on the same scale.
+    """
+
+    posterior: BprPosterior | GpModel
+
+    @property
+    def noise_variance(self) -> float:
+        return self.posterior.noise_variance
 
     def predict_batch(self, xs) -> tuple[np.ndarray, np.ndarray]:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        if isinstance(self.posterior, GpModel):
+            return gp_predict_batch(self.posterior, xs, include_noise=True)
         if xs.shape[1] != 1:
             raise ValueError("polynomial models are univariate")
-        return predictive_batch(self._post, xs[:, 0])
+        return predictive_batch(self.posterior, xs[:, 0])
 
 
 class BprLearner:
-    """Refits a conjugate polynomial posterior from scratch on each call."""
+    """Refits a conjugate polynomial posterior (default prior) from scratch on each call."""
 
-    def __init__(self, degree: int, noise_variance: float, prior: Optional[BprPrior] = None):
-        self.degree = degree
-        self.noise_variance = noise_variance
-        self.prior = prior if prior is not None else default_prior(degree, noise_variance)
-        self.model_id = f"bpr_deg{degree}"
+    def __init__(self, degree: int, noise_variance: float):
+        self.prior = default_prior(degree, noise_variance)
 
-    def fit(self, xs: np.ndarray, ys: np.ndarray) -> _BprFit:
+    def fit(self, xs: np.ndarray, ys: np.ndarray) -> FittedModel:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         if xs.shape[1] != 1:
             raise ValueError("polynomial models are univariate")
-        post = posterior_update(self.prior, xs[:, 0], ys)
-        return _BprFit(post, self.model_id)
-
-
-class _GpFit:
-    def __init__(self, model: GpModel, model_id: str):
-        self._model = model
-        self.model_id = model_id
-        self.noise_variance = model.noise_variance
-        self.gp = model
-
-    def predict_batch(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        return gp_predict_batch(self._model, xs, include_noise=True)
+        return FittedModel(posterior_update(self.prior, xs[:, 0], ys))
 
 
 class GprLearner:
-    """Refits a GP from scratch each call; the kernel stays fixed.
+    """Refits a GP from scratch each call.
 
-    With ``lengthscale_grid`` the lengthscale is chosen once, by marginal
-    likelihood on the first fit of the run, and reused afterwards.
+    With ``lengthscale_grid`` the first fit of the run picks the
+    lengthscale by marginal likelihood, and every later fit keeps it.
     """
 
-    def __init__(
-        self,
-        kernel: KernelSpec,
-        noise_variance: float,
-        mean_const: float = 0.0,
-        lengthscale_grid: bool = False,
-    ):
+    def __init__(self, kernel: KernelSpec, noise_variance: float,
+                 lengthscale_grid: bool = False):
         self.kernel = kernel
         self.noise_variance = noise_variance
-        self.mean_const = mean_const
         self.lengthscale_grid = lengthscale_grid
-        self.model_id = f"gpr_{kernel.kind}"
-        self._resolved_kernel: Optional[KernelSpec] = None
 
-    def fit(self, xs: np.ndarray, ys: np.ndarray) -> _GpFit:
-        if self.lengthscale_grid and self._resolved_kernel is None:
-            model = fit_lengthscale_grid(
-                self.kernel, xs, ys, self.noise_variance, self.mean_const
-            )
-            self._resolved_kernel = model.kernel
-            return _GpFit(model, self.model_id)
-        kernel = self._resolved_kernel if self._resolved_kernel is not None else self.kernel
-        return _GpFit(
-            gp_fit(kernel, xs, ys, self.noise_variance, self.mean_const), self.model_id
-        )
+    def fit(self, xs: np.ndarray, ys: np.ndarray) -> FittedModel:
+        if self.lengthscale_grid:
+            model = fit_lengthscale_grid(self.kernel, xs, ys, self.noise_variance)
+            self.kernel, self.lengthscale_grid = model.kernel, False
+            return FittedModel(model)
+        return FittedModel(gp_fit(self.kernel, xs, ys, self.noise_variance))
 
 
 def test_mse(model, test: TestSet, mode: str = VS_CLEAN) -> float:
@@ -184,13 +154,6 @@ def test_mse(model, test: TestSet, mode: str = VS_CLEAN) -> float:
     (predictive variance minus the noise floor). ``vs_clean`` measures
     against the noiseless targets and needs them present.
     """
-    if len(test) == 0:
-        raise ValueError("test set is empty")
-    bias_term, var_term = _mse_components(model, test, mode)
-    return bias_term + var_term
-
-
-def _mse_components(model, test: TestSet, mode: str) -> tuple[float, float]:
     if mode == VS_CLEAN:
         if test.clean_outputs is None:
             raise ValueError("vs_clean needs noiseless outputs, which this test set lacks")
@@ -199,7 +162,14 @@ def _mse_components(model, test: TestSet, mode: str) -> tuple[float, float]:
         targets = test.observed_outputs
     else:
         raise ValueError(f"unknown mse mode {mode!r}")
-    means, variances = model.predict_batch(test.inputs)
+    bias_term, var_term = _mse_split(model, test.inputs, targets)
+    return bias_term + var_term
+
+
+def _mse_split(model, inputs: np.ndarray, targets: np.ndarray) -> tuple[float, float]:
+    if len(targets) == 0:
+        raise ValueError("test set is empty")
+    means, variances = model.predict_batch(inputs)
     spread = variances - model.noise_variance
     return float(np.mean((targets - means) ** 2)), float(np.mean(spread))
 
@@ -213,14 +183,15 @@ def run_al(
     test: TestSet,
     budget: int,
     rng: np.random.Generator,
-    mse_mode: str = VS_CLEAN,
-    record_decomposition: bool = True,
 ) -> RunTrace:
     """Run ``budget`` acquisitions and return the full per-step trace.
 
-    Step 0 records the model fit on the initial labeled set alone. The rng
-    is consumed only by the random strategy, so selection and model are
-    fully decoupled for the baselines.
+    Step 0 records the model fit on the initial labeled set alone. Each
+    step records the test MSE split into bias and variance against the
+    noiseless targets when the test set has them (synthetic targets), and
+    the MSE against the observed targets otherwise (real datasets). The
+    rng is consumed only by the random strategy, so selection and model
+    are fully decoupled for the baselines.
     """
     if len(init_labeled) == 0:
         raise ValueError("need at least one initial labeled point")
@@ -229,19 +200,15 @@ def run_al(
     if isinstance(strategy.gradient_bound, str):
         raise ValueError("gradient_bound must be resolved to a number before running")
 
-    state = PoolState(init_labeled, pool, 0)
-    records = []
-
-    model = learner.fit(state.labeled.inputs, state.labeled.outputs)
-    records.append(_record(0, strategy.kind, model, test, mse_mode,
-                           record_decomposition, None))
+    labeled = init_labeled
+    model = learner.fit(labeled.inputs, labeled.outputs)
+    records = [_record(0, model, test, None)]
 
     for step in range(1, budget + 1):
-        labeled, current_pool = state.labeled, state.pool
         if strategy.kind == acq.RANDOM:
-            chosen = acq.score_random(rng, current_pool)
+            chosen = acq.score_random(rng, pool)
         else:
-            candidates = current_pool.candidates[current_pool.active]
+            candidates = pool.candidates[pool.active]
             if strategy.kind == acq.VARIANCE:
                 scores = acq.score_variance(model, candidates)
             else:
@@ -259,21 +226,21 @@ def run_al(
                         strategy.gradient_bound, strategy.confidence,
                         pool_size=candidates.shape[0],
                     )
-            chosen = acq.select(current_pool, scores)
-        x = current_pool.candidates[chosen]
+            chosen = acq.select(pool, scores)
+        x = pool.candidates[chosen]
         y = oracle.label(chosen, x)
-        state = PoolState(labeled.appended(x, y), current_pool.deactivated(chosen), step)
-        model = learner.fit(state.labeled.inputs, state.labeled.outputs)
-        records.append(_record(step, strategy.kind, model, test, mse_mode,
-                               record_decomposition, x))
-    return RunTrace(tuple(records), terminal=True)
+        labeled = labeled.appended(x, y)
+        pool = pool.deactivated(chosen)
+        model = learner.fit(labeled.inputs, labeled.outputs)
+        records.append(_record(step, model, test, x))
+    return RunTrace(tuple(records))
 
 
-def _record(step, strategy_kind, model, test, mse_mode, record_decomposition, x):
+def _record(step: int, model, test: TestSet, x) -> StepRecord:
     chosen = None if x is None else np.asarray(x, dtype=float)
-    if record_decomposition and mse_mode == VS_CLEAN and test.clean_outputs is not None:
-        bias_term, var_term = _mse_components(model, test, mse_mode)
-        return StepRecord(step, strategy_kind, model.model_id, chosen,
-                          bias_term + var_term, bias_term, var_term)
-    return StepRecord(step, strategy_kind, model.model_id, chosen,
-                      test_mse(model, test, mse_mode))
+    clean = test.clean_outputs is not None
+    targets = test.clean_outputs if clean else test.observed_outputs
+    bias_term, var_term = _mse_split(model, test.inputs, targets)
+    if clean:
+        return StepRecord(step, chosen, bias_term + var_term, bias_term, var_term)
+    return StepRecord(step, chosen, bias_term + var_term)

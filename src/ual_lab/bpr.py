@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import chol_spd, chol_solve_vec
+from .linalg import chol_spd, chol_solve_vec, spd_inverse
 
 __all__ = [
     "BprPrior",
@@ -20,7 +20,6 @@ __all__ = [
     "feature_map",
     "design_matrix",
     "posterior_update",
-    "predictive",
     "predictive_batch",
     "default_prior",
 ]
@@ -106,7 +105,7 @@ def posterior_update(prior: BprPrior, xs, ys) -> BprPosterior:
             prior.degree, prior.mean.copy(), prior.cov.copy(),
             prior.noise_variance, phi, ys,
         )
-    prior_precision = _spd_inv(prior.cov)
+    prior_precision = spd_inverse(prior.cov)
     precision = prior_precision + (phi.T @ phi) / prior.noise_variance
     lower = chol_spd(precision)
     cov = chol_solve_vec(lower, np.eye(prior.degree + 1))
@@ -116,22 +115,8 @@ def posterior_update(prior: BprPrior, xs, ys) -> BprPosterior:
     return BprPosterior(prior.degree, mean, cov, prior.noise_variance, phi, ys)
 
 
-def _spd_inv(a: np.ndarray) -> np.ndarray:
-    lower = chol_spd(a)
-    inv = chol_solve_vec(lower, np.eye(a.shape[0]))
-    return 0.5 * (inv + inv.T)
-
-
-def predictive(post: BprPosterior, x: float) -> tuple[float, float]:
-    """Predictive mean and variance at x; variance includes the noise floor."""
-    phi = feature_map(x, post.degree)
-    mean = float(phi @ post.mean)
-    var = post.noise_variance + float(phi @ post.cov @ phi)
-    return mean, var
-
-
 def predictive_batch(post: BprPosterior, xs) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized predictive means and variances over many inputs."""
+    """Predictive means and variances over many inputs; variances include the noise floor."""
     phi = design_matrix(xs, post.degree)
     means = phi @ post.mean
     variances = post.noise_variance + np.einsum("ij,jk,ik->i", phi, post.cov, phi)

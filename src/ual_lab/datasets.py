@@ -28,7 +28,6 @@ __all__ = [
     "split",
     "fit_standardizer",
     "apply_standardizer",
-    "invert_target",
 ]
 
 BUILTIN_SCHEMAS = ("concrete", "facebook")
@@ -239,8 +238,3 @@ def apply_standardizer(st: Standardizer, ds: TabularDataset) -> TabularDataset:
         features, targets,
         tuple(ds.feature_names[i] for i in keep), ds.target_name, meta,
     )
-
-
-def invert_target(st: Standardizer, values) -> np.ndarray:
-    """Undo the target transform (for reporting on the original scale)."""
-    return np.asarray(values, dtype=float) * st.target_std + st.target_mean

@@ -30,16 +30,7 @@ import numpy as np
 
 from . import __version__
 from .acquisition import DIRECT_MSE, RANDOM, UPPER_BOUND, VARIANCE, StrategySpec
-from .alloop import (
-    VS_CLEAN,
-    VS_OBSERVED,
-    BprLearner,
-    GprLearner,
-    RunTrace,
-    SyntheticOracle,
-    TableOracle,
-    run_al,
-)
+from .alloop import BprLearner, GprLearner, RunTrace, SyntheticOracle, TableOracle, run_al
 from .analysis import TargetFamily, variance_proxy_gap
 from .bpr import default_prior
 from .datasets import TabularDataset, apply_standardizer, fit_standardizer, load_csv, split
@@ -120,7 +111,6 @@ class ModelSpec:
     degree: Optional[int] = None
     kernel: Optional[KernelSpec] = None
     lengthscale_grid: bool = False
-    mean: float = 0.0
 
     @property
     def model_id(self) -> str:
@@ -141,7 +131,6 @@ class ExperimentConfig:
     test: Optional[TestSpec]
     models: tuple[ModelSpec, ...]
     strategies: tuple[StrategySpec, ...]
-    record_decomposition: bool = True
     description: str = ""
     # discrepancy-kind knobs
     n_train: int = 20
@@ -258,13 +247,12 @@ def _parse_model(raw: dict, where: str) -> ModelSpec:
             raise ConfigError(f"{where}.degree: must be >= 0")
         return ModelSpec(kind="bpr", degree=degree)
     if kind == "gpr":
-        _reject_unknown(raw, {"kind", "kernel", "lengthscale_grid", "mean"}, where)
+        _reject_unknown(raw, {"kind", "kernel", "lengthscale_grid"}, where)
         kernel = _parse_kernel(_need(raw, "kernel", where), f"{where}.kernel")
         grid = raw.get("lengthscale_grid", False)
         if not isinstance(grid, bool):
             raise ConfigError(f"{where}.lengthscale_grid: expected a boolean")
-        return ModelSpec(kind="gpr", kernel=kernel, lengthscale_grid=grid,
-                         mean=_as_number(raw.get("mean", 0.0), f"{where}.mean"))
+        return ModelSpec(kind="gpr", kernel=kernel, lengthscale_grid=grid)
     raise ConfigError(f"{where}.kind: unknown model kind {kind!r}")
 
 
@@ -306,18 +294,20 @@ def _parse_strategy(raw: dict, where: str) -> StrategySpec:
     raise ConfigError(f"{where}.kind: unknown strategy kind {kind!r}")
 
 
-def _parse_span(raw: dict, where: str, with_layout: bool) -> TestSpec | PoolSpec:
-    allowed = {"n", "lo", "hi"} | ({"layout"} if with_layout else set())
+def _parse_span(raw: dict, where: str, layouts: tuple[str, ...]) -> TestSpec | PoolSpec:
+    """A pool (no ``layouts``) or a point set whose layout defaults to ``layouts[0]``."""
+    allowed = {"n", "lo", "hi"} | ({"layout"} if layouts else set())
     _reject_unknown(raw, allowed, where)
     n = _as_int(_need(raw, "n", where), f"{where}.n")
     lo = _as_number(_need(raw, "lo", where), f"{where}.lo")
     hi = _as_number(_need(raw, "hi", where), f"{where}.hi")
     if not lo < hi:
         raise ConfigError(f"{where}: need lo < hi")
-    if with_layout:
-        layout = raw.get("layout", "random")
-        if layout not in ("random", "grid"):
-            raise ConfigError(f"{where}.layout: must be 'random' or 'grid'")
+    if layouts:
+        layout = raw.get("layout", layouts[0])
+        if layout not in layouts:
+            raise ConfigError(f"{where}.layout: must be "
+                              + " or ".join(repr(name) for name in layouts))
         if n < 1:
             raise ConfigError(f"{where}.n: must be >= 1")
         return TestSpec(n, lo, hi, layout)
@@ -336,10 +326,13 @@ def parse_config_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
     common = {"experiment_id", "kind", "description", "master_seed", "n_seeds",
               "parallelism", "output_dir", "target", "models"}
     if kind == "al_curves":
-        allowed = common | {"budget", "pool", "test", "strategies", "record_decomposition"}
+        allowed = common | {"budget", "pool", "test", "strategies"}
     else:
         allowed = common | {"n_train", "grid"}
     _reject_unknown(raw, allowed, "config")
+    output_dir = raw.get("output_dir")
+    if output_dir is not None and not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir: expected a string, got {output_dir!r}")
 
     experiment_id = str(_need(raw, "experiment_id", "config"))
     if not _ID_PATTERN.match(experiment_id):
@@ -371,12 +364,13 @@ def parse_config_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
         n_train = _as_int(raw.get("n_train", 20), "n_train")
         if n_train < 0:
             raise ConfigError("n_train: must be >= 0")
-        grid = _parse_span(raw.get("grid", {"n": 50, "lo": -2.0, "hi": 2.0,
-                                            "layout": "grid"}), "grid", with_layout=True)
+        # the closed-form gap is evaluated on an even grid, the only layout
+        grid = _parse_span(raw.get("grid", {"n": 50, "lo": -2.0, "hi": 2.0}), "grid",
+                           layouts=("grid",))
         return ExperimentConfig(
             experiment_id=experiment_id, kind=kind, master_seed=master_seed,
             n_seeds=n_seeds, budget=0, parallelism=parallelism,
-            output_dir=raw.get("output_dir"), target=target, pool=None, test=None,
+            output_dir=output_dir, target=target, pool=None, test=None,
             models=models, strategies=(), description=str(raw.get("description", "")),
             n_train=n_train, grid=grid,
         )
@@ -398,21 +392,18 @@ def parse_config_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
         if "pool" in raw or "test" in raw:
             raise ConfigError("pool/test: dataset targets derive these from the split")
     else:
-        pool = _parse_span(_need(raw, "pool", "config"), "pool", with_layout=False)
-        test = _parse_span(_need(raw, "test", "config"), "test", with_layout=True)
+        pool = _parse_span(_need(raw, "pool", "config"), "pool", layouts=())
+        test = _parse_span(_need(raw, "test", "config"), "test", layouts=("random", "grid"))
         # one pool candidate is spent on the initial labeled point
         if budget > pool.n - 1:
             raise ConfigError(
                 f"budget: {budget} exceeds pool capacity {pool.n} - 1 (the initial point)"
             )
-    record = raw.get("record_decomposition", True)
-    if not isinstance(record, bool):
-        raise ConfigError("record_decomposition: expected a boolean")
     return ExperimentConfig(
         experiment_id=experiment_id, kind=kind, master_seed=master_seed,
         n_seeds=n_seeds, budget=budget, parallelism=parallelism,
-        output_dir=raw.get("output_dir"), target=target, pool=pool, test=test,
-        models=models, strategies=strategies, record_decomposition=record,
+        output_dir=output_dir, target=target, pool=pool, test=test,
+        models=models, strategies=strategies,
         description=str(raw.get("description", "")),
     )
 
@@ -457,7 +448,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
             models.append({"kind": "bpr", "degree": m.degree})
         else:
             models.append({"kind": "gpr", "kernel": kernel_dict(m.kernel),
-                           "lengthscale_grid": m.lengthscale_grid, "mean": m.mean})
+                           "lengthscale_grid": m.lengthscale_grid})
     strategies = []
     for s in cfg.strategies:
         entry = {"kind": s.kind}
@@ -481,7 +472,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     if cfg.kind == "al_curves":
         out["budget"] = cfg.budget
         out["strategies"] = strategies
-        out["record_decomposition"] = cfg.record_decomposition
         if cfg.pool is not None:
             out["pool"] = {"n": cfg.pool.n, "lo": cfg.pool.lo, "hi": cfg.pool.hi}
         if cfg.test is not None:
@@ -521,16 +511,10 @@ class AggregateResults:
 def _make_learner(spec: ModelSpec, noise_variance: float):
     if spec.kind == "bpr":
         return BprLearner(spec.degree, noise_variance)
-    return GprLearner(spec.kernel, noise_variance, spec.mean, spec.lengthscale_grid)
+    return GprLearner(spec.kernel, noise_variance, spec.lengthscale_grid)
 
 
-def _resolve_bound(strategy: StrategySpec, target, lo: float, hi: float) -> StrategySpec:
-    if strategy.kind == UPPER_BOUND and strategy.gradient_bound == "auto":
-        return replace(strategy, gradient_bound=gradient_bound(target, lo, hi))
-    return strategy
-
-
-def _seed_runs_synthetic(cfg: ExperimentConfig, seed: int) -> list[tuple[RunKey, RunTrace]]:
+def _synthetic_setup(cfg: ExperimentConfig, seed: int, data: None):
     t = cfg.target
     target = sample_target(
         t.order, derive_rng(cfg.master_seed, seed, 0), t.family,
@@ -542,30 +526,15 @@ def _seed_runs_synthetic(cfg: ExperimentConfig, seed: int) -> list[tuple[RunKey,
     init_index = int(derive_rng(cfg.master_seed, seed, 2).integers(cfg.pool.n))
     test = build_test_set(cfg.test.n, cfg.test.lo, cfg.test.hi, target,
                           derive_rng(cfg.master_seed, seed, 3), cfg.test.layout)
-    init_x = pool.candidates[init_index]
-    init = LabeledSet(init_x[None, :], [oracle.label(init_index, init_x)])
-    pool = pool.deactivated(init_index)
-
-    out = []
-    for mi, model_spec in enumerate(cfg.models):
-        for si, strategy in enumerate(cfg.strategies):
-            resolved = _resolve_bound(strategy, target, cfg.pool.lo, cfg.pool.hi)
-            learner = _make_learner(model_spec, t.noise_variance)
-            key = RunKey(seed, model_spec.model_id, strategy.kind)
-            try:
-                trace = run_al(
-                    learner, resolved, oracle, init, pool, test, cfg.budget,
-                    derive_rng(cfg.master_seed, seed, 4, mi, si),
-                    mse_mode=VS_CLEAN, record_decomposition=cfg.record_decomposition,
-                )
-            except Exception as exc:
-                raise RuntimeError(f"run failed at {key}: {exc}") from exc
-            out.append((key, trace))
-    return out
+    strategies = tuple(
+        replace(s, gradient_bound=gradient_bound(target, cfg.pool.lo, cfg.pool.hi))
+        if s.kind == UPPER_BOUND and s.gradient_bound == "auto" else s
+        for s in cfg.strategies
+    )
+    return pool, oracle, init_index, test, t.noise_variance, strategies
 
 
-def _seed_runs_dataset(cfg: ExperimentConfig, seed: int,
-                       data: TabularDataset) -> list[tuple[RunKey, RunTrace]]:
+def _dataset_setup(cfg: ExperimentConfig, seed: int, data: TabularDataset):
     t = cfg.target
     train, test_part = split(data, t.test_fraction,
                              derive_rng(cfg.master_seed, seed, 0), subsample=t.subsample)
@@ -577,24 +546,34 @@ def _seed_runs_dataset(cfg: ExperimentConfig, seed: int,
             f"budget: {cfg.budget} exceeds train split capacity {len(train)} - 1"
         )
     pool = UnlabeledPool(train.features, np.ones(len(train), dtype=bool))
-    oracle = TableOracle(train.targets)
     init_index = int(derive_rng(cfg.master_seed, seed, 2).integers(len(train)))
     test = TestSet(test_part.features, test_part.targets, None)
+    return (pool, TableOracle(train.targets), init_index, test, t.model_noise_variance,
+            cfg.strategies)
+
+
+def _seed_runs(cfg: ExperimentConfig, seed: int,
+               data: Optional[TabularDataset]) -> list[tuple[RunKey, RunTrace]]:
+    """Every (model, strategy) run of one seed, all from one initial labeled point.
+
+    The per-target setup gives the candidate pool, its label oracle, the
+    index of the initial labeled candidate, the test set, the models' noise
+    variance, and the strategies with every bound resolved.
+    """
+    setup = _dataset_setup if isinstance(cfg.target, DatasetTargetSpec) else _synthetic_setup
+    pool, oracle, init_index, test, noise_variance, strategies = setup(cfg, seed, data)
     init_x = pool.candidates[init_index]
     init = LabeledSet(init_x[None, :], [oracle.label(init_index, init_x)])
     pool = pool.deactivated(init_index)
 
     out = []
     for mi, model_spec in enumerate(cfg.models):
-        for si, strategy in enumerate(cfg.strategies):
-            learner = _make_learner(model_spec, t.model_noise_variance)
+        for si, strategy in enumerate(strategies):
+            learner = _make_learner(model_spec, noise_variance)
             key = RunKey(seed, model_spec.model_id, strategy.kind)
             try:
-                trace = run_al(
-                    learner, strategy, oracle, init, pool, test, cfg.budget,
-                    derive_rng(cfg.master_seed, seed, 4, mi, si),
-                    mse_mode=VS_OBSERVED, record_decomposition=False,
-                )
+                trace = run_al(learner, strategy, oracle, init, pool, test, cfg.budget,
+                               derive_rng(cfg.master_seed, seed, 4, mi, si))
             except Exception as exc:
                 raise RuntimeError(f"run failed at {key}: {exc}") from exc
             out.append((key, trace))
@@ -621,9 +600,7 @@ def _seed_worker(args):
     cfg, seed, data = args
     if cfg.kind == "discrepancy":
         return seed, _seed_discrepancy(cfg, seed)
-    if isinstance(cfg.target, DatasetTargetSpec):
-        return seed, _seed_runs_dataset(cfg, seed, data)
-    return seed, _seed_runs_synthetic(cfg, seed)
+    return seed, _seed_runs(cfg, seed, data)
 
 
 def run_experiment(cfg: ExperimentConfig,

@@ -20,10 +20,8 @@ from .linalg import chol_spd, chol_solve_vec, solve_lower
 __all__ = [
     "KernelSpec",
     "GpModel",
-    "kernel_eval",
     "kernel_matrix",
     "gp_fit",
-    "gp_predict",
     "gp_predict_batch",
     "log_marginal_likelihood",
     "fit_lengthscale_grid",
@@ -63,15 +61,6 @@ class KernelSpec:
                 raise ValueError("stationary kernels need amplitude > 0 and lengthscale > 0")
 
 
-def kernel_eval(spec: KernelSpec, x, x2) -> float:
-    """k(x, x') for two single inputs (scalars or equal-length vectors)."""
-    a = np.atleast_1d(np.asarray(x, dtype=float))
-    b = np.atleast_1d(np.asarray(x2, dtype=float))
-    if a.shape != b.shape:
-        raise ValueError(f"input dimension mismatch: {a.shape} vs {b.shape}")
-    return float(kernel_matrix(spec, a[None, :], b[None, :])[0, 0])
-
-
 def kernel_matrix(spec: KernelSpec, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     """Cross-covariance matrix between row-stacked inputs."""
     xa = np.atleast_2d(np.asarray(xa, dtype=float))
@@ -89,14 +78,13 @@ def kernel_matrix(spec: KernelSpec, xa: np.ndarray, xb: np.ndarray) -> np.ndarra
 
 @dataclass(frozen=True)
 class GpModel:
-    """A fitted GP: factored (K + sigma^2 I) and precomputed weights."""
+    """A fitted zero-mean GP: factored (K + sigma^2 I) and precomputed weights."""
 
     kernel: KernelSpec
-    mean_const: float
     train_inputs: np.ndarray      # (n, d)
     train_outputs: np.ndarray     # (n,)
     chol_factor: Optional[np.ndarray]  # lower factor, None when n == 0
-    weights: np.ndarray           # alpha solving (K + sigma^2 I) alpha = y - m
+    weights: np.ndarray           # alpha solving (K + sigma^2 I) alpha = y
     noise_variance: float
 
     @property
@@ -109,7 +97,6 @@ def gp_fit(
     xs,
     ys,
     noise_variance: float,
-    mean_const: float = 0.0,
 ) -> GpModel:
     """Fit from scratch: factor (K + sigma^2 I), solve for the weights."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -121,40 +108,33 @@ def gp_fit(
     if noise_variance < 0:
         raise ValueError("noise_variance must be >= 0")
     if xs.shape[0] == 0:
-        return GpModel(spec, mean_const, xs, ys, None, np.zeros(0), noise_variance)
+        return GpModel(spec, xs, ys, None, np.zeros(0), noise_variance)
     gram = kernel_matrix(spec, xs, xs) + noise_variance * np.eye(xs.shape[0])
     lower = chol_spd(gram)
-    alpha = chol_solve_vec(lower, ys - mean_const)
-    return GpModel(spec, mean_const, xs, ys, lower, alpha, noise_variance)
-
-
-def gp_predict(model: GpModel, x, include_noise: bool = True) -> tuple[float, float]:
-    """Posterior mean and variance at one input.
-
-    ``include_noise`` adds sigma^2 to the returned variance (the predictive
-    rather than latent posterior), the default so variance scores sit on
-    the same scale as the parametric models'.
-    """
-    means, variances = gp_predict_batch(model, np.atleast_2d(np.asarray(x, dtype=float)),
-                                        include_noise=include_noise)
-    return float(means[0]), float(variances[0])
+    alpha = chol_solve_vec(lower, ys)
+    return GpModel(spec, xs, ys, lower, alpha, noise_variance)
 
 
 def gp_predict_batch(
     model: GpModel, xs, include_noise: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized posterior means and variances over many inputs."""
+    """Vectorized posterior means and variances over many inputs.
+
+    ``include_noise`` adds sigma^2 to the returned variance (the predictive
+    rather than latent posterior), the default so variance scores sit on
+    the same scale as the parametric models'.
+    """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if model.kernel.kind == LINEAR:
         prior_diag = model.kernel.bias + model.kernel.weight * np.sum(xs * xs, axis=1)
     else:
         prior_diag = np.full(xs.shape[0], model.kernel.amplitude)
     if model.n_train == 0:
-        means = np.full(xs.shape[0], model.mean_const)
+        means = np.zeros(xs.shape[0])
         variances = prior_diag.copy()
     else:
         k_star = kernel_matrix(model.kernel, model.train_inputs, xs)  # (n, m)
-        means = model.mean_const + k_star.T @ model.weights
+        means = k_star.T @ model.weights
         v = solve_lower(model.chol_factor, k_star)
         variances = prior_diag - np.einsum("ij,ij->j", v, v)
     if include_noise:
@@ -166,9 +146,8 @@ def log_marginal_likelihood(model: GpModel) -> float:
     """Log evidence of the training data under the fitted model."""
     if model.n_train == 0:
         return 0.0
-    resid = model.train_outputs - model.mean_const
     return float(
-        -0.5 * resid @ model.weights
+        -0.5 * model.train_outputs @ model.weights
         - np.sum(np.log(np.diagonal(model.chol_factor)))
         - 0.5 * model.n_train * math.log(2.0 * math.pi)
     )
@@ -179,7 +158,6 @@ def fit_lengthscale_grid(
     xs,
     ys,
     noise_variance: float,
-    mean_const: float = 0.0,
     grid=LENGTHSCALE_GRID,
 ) -> GpModel:
     """Fit once per grid lengthscale and keep the highest-evidence model.
@@ -187,11 +165,11 @@ def fit_lengthscale_grid(
     Linear kernels have no lengthscale and fall through to a plain fit.
     """
     if spec.kind == LINEAR:
-        return gp_fit(spec, xs, ys, noise_variance, mean_const)
+        return gp_fit(spec, xs, ys, noise_variance)
     best = None
     best_ll = -math.inf
     for ls in grid:
-        model = gp_fit(replace(spec, lengthscale=ls), xs, ys, noise_variance, mean_const)
+        model = gp_fit(replace(spec, lengthscale=ls), xs, ys, noise_variance)
         ll = log_marginal_likelihood(model)
         if ll > best_ll:
             best, best_ll = model, ll

@@ -4,7 +4,6 @@ import pytest
 from ual_lab.acquisition import (
     StrategySpec,
     score_direct_mse,
-    score_pool,
     score_random,
     score_upper_bound,
     score_variance,
@@ -201,12 +200,6 @@ class TestSelect:
             scores = rng.standard_normal(20)
             shift = float(rng.uniform(-100, 100))
             assert select(pool, scores) == select(pool, scores + shift)
-
-    def test_scored_pool_bundles_choice(self):
-        pool = build_pool(3, 0, 1)
-        sp = score_pool(pool, [0.0, 2.0, 1.0])
-        assert sp.chosen_index == 1
-        np.testing.assert_array_equal(sp.indices, [0, 1, 2])
 
 
 def test_perfect_surrogate_ranks_like_true_squared_error():

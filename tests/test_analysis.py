@@ -13,7 +13,13 @@ from ual_lab.analysis import (
     mc_bias_variance,
     variance_proxy_gap,
 )
-from ual_lab.bpr import BprPrior, default_prior, design_matrix, posterior_update, predictive
+from ual_lab.bpr import (
+    BprPrior,
+    default_prior,
+    design_matrix,
+    posterior_update,
+    predictive_batch,
+)
 from ual_lab.errors import TruncationError
 from ual_lab.rng import derive_rng
 
@@ -88,8 +94,9 @@ class TestMatchedMse:
             n = int(rng.integers(0, 40))
             post = posterior_update(default_prior(3, 1.0),
                                     rng.uniform(-2, 2, n), rng.standard_normal(n))
-            for x in rng.uniform(-2, 2, 10):
-                _, var = predictive(post, float(x))
+            xs = rng.uniform(-2, 2, 10)
+            _, variances = predictive_batch(post, xs)
+            for x, var in zip(xs, variances):
                 assert matched_mse(float(x), post) == pytest.approx(
                     2.0 * (var - 1.0), abs=1e-12)
 

@@ -7,7 +7,6 @@ from ual_lab.bpr import (
     design_matrix,
     feature_map,
     posterior_update,
-    predictive,
     predictive_batch,
 )
 from ual_lab.rng import derive_rng
@@ -83,13 +82,13 @@ class TestPosteriorUpdate:
 class TestPredictive:
     def test_prior_predictive(self):
         post = posterior_update(default_prior(1, 1.0), [], [])
-        mean, var = predictive(post, 1.0)
+        (mean,), (var,) = predictive_batch(post, [1.0])
         assert mean == 0.0
         assert var == pytest.approx(3.0, abs=1e-12)
 
     def test_after_single_observation(self):
         post = posterior_update(default_prior(1, 1.0), [0.0], [2.0])
-        mean, var = predictive(post, 0.0)
+        (mean,), (var,) = predictive_batch(post, [0.0])
         assert mean == pytest.approx(1.0, abs=1e-12)
         assert var == pytest.approx(1.5, abs=1e-12)
 
@@ -123,7 +122,9 @@ class TestPredictive:
         xs = rng.uniform(-2, 2, 7)
         means, variances = predictive_batch(post, xs)
         for i, x in enumerate(xs):
-            m, v = predictive(post, float(x))
+            phi = feature_map(float(x), post.degree)
+            m = float(phi @ post.mean)
+            v = post.noise_variance + float(phi @ post.cov @ phi)
             assert means[i] == pytest.approx(m, abs=1e-14)
             assert variances[i] == pytest.approx(v, abs=1e-14)
 

@@ -98,6 +98,11 @@ class TestParseConfig:
             parse_config_dict(raw)
 
 
+    def test_output_dir_must_be_a_string(self):
+        with pytest.raises(ConfigError, match="output_dir"):
+            parse_config_dict(_small_config(output_dir=5))
+
+
 class TestRunExperiment:
     def test_degenerate_single_seed_zero_budget(self):
         cfg = parse_config_dict(_small_config(n_seeds=1, budget=0))
@@ -202,19 +207,25 @@ class TestEmit:
         assert float(mse) == float(f"{float(mse):.17g}")
 
 
+def _discrepancy_config(**overrides):
+    raw = {
+        "experiment_id": "disc",
+        "kind": "discrepancy",
+        "master_seed": 3,
+        "n_seeds": 4,
+        "n_train": 10,
+        "target": {"kind": "synthetic", "order": 3,
+                   "family": "pure-polynomial", "noise_variance": 1.0},
+        "grid": {"n": 9, "lo": -2.0, "hi": 2.0, "layout": "grid"},
+        "models": [{"kind": "bpr", "degree": 1}, {"kind": "bpr", "degree": 3}],
+    }
+    raw.update(overrides)
+    return raw
+
+
 class TestDiscrepancyKind:
     def test_runs_and_emits(self, tmp_path):
-        cfg = parse_config_dict({
-            "experiment_id": "disc",
-            "kind": "discrepancy",
-            "master_seed": 3,
-            "n_seeds": 4,
-            "n_train": 10,
-            "target": {"kind": "synthetic", "order": 3,
-                       "family": "pure-polynomial", "noise_variance": 1.0},
-            "grid": {"n": 9, "lo": -2.0, "hi": 2.0, "layout": "grid"},
-            "models": [{"kind": "bpr", "degree": 1}, {"kind": "bpr", "degree": 3}],
-        })
+        cfg = parse_config_dict(_discrepancy_config())
         res = run_experiment(cfg)
         xs, matched_gap = res.discrepancy["bpr_deg3"]
         _, low_gap = res.discrepancy["bpr_deg1"]
@@ -225,6 +236,14 @@ class TestDiscrepancyKind:
         assert lines[0] == "experiment_id,model,x,mean_gap"
         assert len(lines) == 1 + 2 * 9
         ET.parse(tmp_path / "discrepancy.svg")
+
+    def test_grid_layout_is_always_grid(self):
+        # the gap is evaluated on an even grid, so another layout is refused
+        with pytest.raises(ConfigError, match="grid.layout"):
+            parse_config_dict(_discrepancy_config(
+                grid={"n": 9, "lo": -2.0, "hi": 2.0, "layout": "random"}))
+        cfg = parse_config_dict(_discrepancy_config(grid={"n": 9, "lo": -2.0, "hi": 2.0}))
+        assert cfg.grid.layout == "grid"
 
 
 def test_every_shipped_config_runs_scaled_down(tmp_path):
@@ -268,6 +287,13 @@ class TestCli:
     def test_missing_config_fails(self, capsys):
         assert main(["validate", "--config", "no_such_thing"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_non_string_output_dir_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_small_config(output_dir=5)))
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(cfg_path)]) == 2
+            assert capsys.readouterr().err.startswith("error: output_dir")
 
     def test_run_writes_outputs(self, tmp_path, capsys, monkeypatch):
         cfg_path = tmp_path / "cfg.json"

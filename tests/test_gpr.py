@@ -6,38 +6,40 @@ from ual_lab.gpr import (
     KernelSpec,
     fit_lengthscale_grid,
     gp_fit,
-    gp_predict,
     gp_predict_batch,
-    kernel_eval,
     kernel_matrix,
     log_marginal_likelihood,
 )
 from ual_lab.rng import derive_rng
 
 
+def _k(spec, x, x2):
+    return float(kernel_matrix(spec, [x], [x2])[0, 0])
+
+
 class TestKernels:
     def test_rbf_zero_distance(self):
         spec = KernelSpec("rbf", amplitude=2.5, lengthscale=0.7)
-        assert kernel_eval(spec, [1.3], [1.3]) == pytest.approx(2.5)
+        assert _k(spec, [1.3], [1.3]) == pytest.approx(2.5)
 
     def test_rbf_unit_distance(self):
         spec = KernelSpec("rbf", amplitude=1.0, lengthscale=1.0)
-        assert kernel_eval(spec, [0.0], [1.0]) == pytest.approx(np.exp(-0.5), abs=1e-12)
+        assert _k(spec, [0.0], [1.0]) == pytest.approx(np.exp(-0.5), abs=1e-12)
 
     def test_linear_hand_value(self):
         spec = KernelSpec("linear", bias=1.0, weight=1.0)
-        assert kernel_eval(spec, [2.0], [3.0]) == pytest.approx(7.0)
+        assert _k(spec, [2.0], [3.0]) == pytest.approx(7.0)
 
     def test_matern52_formula(self):
         spec = KernelSpec("matern52", amplitude=1.0, lengthscale=1.0)
         r = 0.8
         s = np.sqrt(5) * r
         expected = (1 + s + s * s / 3.0) * np.exp(-s)
-        assert kernel_eval(spec, [0.0], [r]) == pytest.approx(expected, abs=1e-12)
+        assert _k(spec, [0.0], [r]) == pytest.approx(expected, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            kernel_eval(KernelSpec("rbf"), [0.0], [0.0, 1.0])
+            kernel_matrix(KernelSpec("rbf"), [[0.0]], [[0.0, 1.0]])
 
     def test_matrix_is_psd(self):
         rng = derive_rng(30, 0)
@@ -56,13 +58,13 @@ class TestKernels:
 class TestFitPredict:
     def test_empty_data_prior(self):
         model = gp_fit(KernelSpec("rbf"), np.zeros((0, 1)), [], 1.0)
-        mean, var = gp_predict(model, [0.7], include_noise=False)
+        (mean,), (var,) = gp_predict_batch(model, [[0.7]], include_noise=False)
         assert mean == 0.0 and var == pytest.approx(1.0)
 
     def test_single_point_hand_values(self):
         model = gp_fit(KernelSpec("rbf"), [[0.0]], [2.0], 1.0)
         np.testing.assert_allclose(model.weights, [1.0])
-        mean, var = gp_predict(model, [0.0], include_noise=False)
+        (mean,), (var,) = gp_predict_batch(model, [[0.0]], include_noise=False)
         assert mean == pytest.approx(1.0, abs=1e-12)
         assert var == pytest.approx(0.5, abs=1e-12)
 
