@@ -138,4 +138,6 @@ def select(pool: UnlabeledPool, scores) -> int:
             f"scores must align with the {active.size} active candidates, "
             f"got shape {scores.shape}"
         )
+    if not np.all(np.isfinite(scores)):
+        raise ValueError(f"scores must be finite, got {scores[~np.isfinite(scores)][0]}")
     return int(active[int(np.argmax(scores))])

@@ -22,8 +22,6 @@ from .rng import derive_rng
 from .synthetic import GroundTruthTarget, LabeledSet, TestSet, UnlabeledPool, eval_target
 
 __all__ = [
-    "VS_CLEAN",
-    "VS_OBSERVED",
     "StepRecord",
     "RunTrace",
     "SyntheticOracle",
@@ -32,11 +30,7 @@ __all__ = [
     "BprLearner",
     "GprLearner",
     "run_al",
-    "test_mse",
 ]
-
-VS_CLEAN = "vs_clean"
-VS_OBSERVED = "vs_observed"
 
 
 @dataclass(frozen=True)
@@ -51,9 +45,6 @@ class StepRecord:
 @dataclass(frozen=True)
 class RunTrace:
     records: tuple[StepRecord, ...]
-
-    def mse_at(self, step: int) -> float:
-        return self.records[step].test_mse
 
 
 class LabelOracle(Protocol):
@@ -147,33 +138,6 @@ class GprLearner:
         return FittedModel(gp_fit(self.kernel, xs, ys, self.noise_variance))
 
 
-def test_mse(model, test: TestSet, mode: str = VS_CLEAN) -> float:
-    """Mean posterior expected squared error against the test targets.
-
-    Per point: (target - predictive mean)^2 plus the posterior spread
-    (predictive variance minus the noise floor). ``vs_clean`` measures
-    against the noiseless targets and needs them present.
-    """
-    if mode == VS_CLEAN:
-        if test.clean_outputs is None:
-            raise ValueError("vs_clean needs noiseless outputs, which this test set lacks")
-        targets = test.clean_outputs
-    elif mode == VS_OBSERVED:
-        targets = test.observed_outputs
-    else:
-        raise ValueError(f"unknown mse mode {mode!r}")
-    bias_term, var_term = _mse_split(model, test.inputs, targets)
-    return bias_term + var_term
-
-
-def _mse_split(model, inputs: np.ndarray, targets: np.ndarray) -> tuple[float, float]:
-    if len(targets) == 0:
-        raise ValueError("test set is empty")
-    means, variances = model.predict_batch(inputs)
-    spread = variances - model.noise_variance
-    return float(np.mean((targets - means) ** 2)), float(np.mean(spread))
-
-
 def run_al(
     learner,
     strategy: acq.StrategySpec,
@@ -237,10 +201,16 @@ def run_al(
 
 
 def _record(step: int, model, test: TestSet, x) -> StepRecord:
+    """Test MSE per point: (target - predictive mean)^2 plus the posterior
+    spread (predictive variance minus the noise floor), averaged."""
     chosen = None if x is None else np.asarray(x, dtype=float)
     clean = test.clean_outputs is not None
     targets = test.clean_outputs if clean else test.observed_outputs
-    bias_term, var_term = _mse_split(model, test.inputs, targets)
+    if len(targets) == 0:
+        raise ValueError("test set is empty")
+    means, variances = model.predict_batch(test.inputs)
+    bias_term = float(np.mean((targets - means) ** 2))
+    var_term = float(np.mean(variances - model.noise_variance))
     if clean:
         return StepRecord(step, chosen, bias_term + var_term, bias_term, var_term)
     return StepRecord(step, chosen, bias_term + var_term)

@@ -121,7 +121,7 @@ def remedies_scaled():
 
 def _step_means(results, model_id, strategy_id, step, n_seeds):
     return np.array([
-        results.traces[RunKey(s, model_id, strategy_id)].mse_at(step)
+        results.traces[RunKey(s, model_id, strategy_id)].records[step].test_mse
         for s in range(n_seeds)
     ])
 

@@ -193,6 +193,13 @@ class TestSelect:
         with pytest.raises(ValueError):
             select(pool, [1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        # np.argmax would pick the first NaN; a broken score must fail loudly
+        pool = build_pool(4, 0, 1)
+        with pytest.raises(ValueError, match="finite"):
+            select(pool, [1.0, bad, 5.0, 2.0])
+
     def test_constant_shift_invariance(self):
         rng = derive_rng(48, 0)
         pool = build_pool(20, -2, 2)

@@ -3,15 +3,12 @@ import pytest
 
 from ual_lab.acquisition import StrategySpec
 from ual_lab.alloop import (
-    VS_CLEAN,
-    VS_OBSERVED,
     BprLearner,
     GprLearner,
     SyntheticOracle,
     TableOracle,
     run_al,
 )
-from ual_lab.alloop import test_mse as evaluate_mse
 from ual_lab.gpr import KernelSpec
 from ual_lab.rng import derive_rng
 from ual_lab.synthetic import TestSet as HoldoutSet
@@ -129,6 +126,8 @@ class TestOracles:
 
 
 class TestTestMse:
+    """The test MSE that ``run_al`` records at step 0 for a given fitted model."""
+
     class _PerfectModel:
         noise_variance = 1.0
 
@@ -138,33 +137,45 @@ class TestTestMse:
         def predict_batch(self, xs):
             return self._clean.copy(), np.ones(len(self._clean))  # spread zero
 
+    class _FixedLearner:
+        def __init__(self, model):
+            self.model = model
+
+        def fit(self, xs, ys):
+            return self.model
+
+    def _recorded_mse(self, model, test):
+        init = LabeledSet(np.zeros((1, 1)), [0.0])
+        trace = run_al(self._FixedLearner(model), StrategySpec("random"), TableOracle([0.0]),
+                       init, build_pool(2, -1, 1), test, 0, derive_rng(71, 0))
+        return trace.records[0].test_mse
+
     def test_perfect_model_scores_zero_vs_clean(self):
         test = HoldoutSet(np.linspace(-1, 1, 5)[:, None], np.zeros(5), np.arange(5.0))
         model = self._PerfectModel(np.arange(5.0))
-        assert evaluate_mse(model, test, VS_CLEAN) == 0.0
+        assert self._recorded_mse(model, test) == 0.0
 
     def test_constant_offset_hand_value(self):
         test = HoldoutSet(np.zeros((4, 1)), np.zeros(4), np.full(4, 3.0))
         model = self._PerfectModel(np.zeros(4))
-        assert evaluate_mse(model, test, VS_CLEAN) == pytest.approx(9.0)
+        assert self._recorded_mse(model, test) == pytest.approx(9.0)
 
     def test_observed_minus_clean_is_noise_variance(self):
         target = sample_target(3, derive_rng(72, 0), noise_variance=1.0)
         test = build_test_set(20_000, -2, 2, target, derive_rng(72, 1))
+        observed_only = HoldoutSet(test.inputs, test.observed_outputs, None)
         xs = derive_rng(72, 2).uniform(-2, 2, 60)
         oracle_rng = derive_rng(72, 3)
         ys = np.asarray([float(np.asarray(target.coefficients) @ (x ** np.arange(4)))
                          for x in xs]) + oracle_rng.standard_normal(60)
         model = BprLearner(3, 1.0).fit(xs[:, None], ys)
-        gap = evaluate_mse(model, test, VS_OBSERVED) - evaluate_mse(model, test, VS_CLEAN)
+        gap = self._recorded_mse(model, observed_only) - self._recorded_mse(model, test)
         assert gap == pytest.approx(1.0, abs=0.05)
 
-    def test_vs_clean_requires_clean_outputs(self):
-        test = HoldoutSet(np.zeros((3, 1)), np.zeros(3), None)
+    def test_without_clean_outputs_scores_observed(self):
+        test = HoldoutSet(np.zeros((3, 1)), np.full(3, 2.0), None)
         model = self._PerfectModel(np.zeros(3))
-        with pytest.raises(ValueError):
-            evaluate_mse(model, test, VS_CLEAN)
-        assert evaluate_mse(model, test, VS_OBSERVED) == 0.0
+        assert self._recorded_mse(model, test) == pytest.approx(4.0)
 
 
 def test_paired_runs_share_step_zero():

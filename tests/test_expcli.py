@@ -35,6 +35,10 @@ def _small_config(**overrides):
     return raw
 
 
+_DATASET_TARGET = {"kind": "dataset", "schema": "concrete", "path": "x.csv",
+                   "test_fraction": 0.25, "subsample": None, "model_noise_variance": 0.1}
+
+
 class TestParseConfig:
     def test_shipped_configs_all_parse(self):
         shipped = shipped_experiments()
@@ -59,12 +63,29 @@ class TestParseConfig:
             parse_config_dict(_small_config(budget=500, pool={"n": 200, "lo": -2.0,
                                                               "hi": 2.0}))
 
-    def test_unknown_key_named(self):
-        with pytest.raises(ConfigError, match="foo"):
-            parse_config_dict(_small_config(foo=1))
-        with pytest.raises(ConfigError, match="bar"):
-            parse_config_dict(_small_config(
-                target={"kind": "synthetic", "order": 1, "bar": 2}))
+    @pytest.mark.parametrize("overrides, key_path", [
+        pytest.param({"foo": 1}, "config: unknown key 'foo'", id="unknown-top-key"),
+        pytest.param({"target": {"kind": "synthetic", "order": 1, "bar": 2}},
+                     "target: unknown key 'bar'", id="unknown-nested-key"),
+        pytest.param({"experiment_id": "Bad Name!"}, "experiment_id:", id="id-pattern"),
+        pytest.param({"experiment_id": 5}, "experiment_id:", id="id-not-string"),
+        pytest.param({"description": ["x"]}, "description:", id="description-not-string"),
+        pytest.param({"output_dir": 5}, "output_dir:", id="output-dir-not-string"),
+        pytest.param({"target": dict(_DATASET_TARGET, schema=5)}, "target.schema:",
+                     id="schema-not-string"),
+        pytest.param({"target": dict(_DATASET_TARGET, path=5)}, "target.path:",
+                     id="path-not-string"),
+        pytest.param({"pool": None}, "config: missing required key 'pool'", id="pool-null"),
+        pytest.param({"n_seeds": True}, "n_seeds:", id="bool-is-not-int"),
+        pytest.param({"models": [5]}, "models[0]:", id="model-not-object"),
+        pytest.param({"strategies": [{"kind": ["variance"]}]}, "strategies[0].kind:",
+                     id="strategy-kind-unhashable"),
+        pytest.param({"test": {"n": 4, "lo": 2.0, "hi": -2.0}}, "test:", id="empty-span"),
+    ])
+    def test_malformed_config_names_key(self, overrides, key_path):
+        with pytest.raises(ConfigError) as info:
+            parse_config_dict(_small_config(**overrides))
+        assert str(info.value).startswith(key_path)
 
     def test_bad_json_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -72,35 +93,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 2"):
             parse_config(path)
 
-    def test_experiment_id_pattern(self):
-        with pytest.raises(ConfigError, match="experiment_id"):
-            parse_config_dict(_small_config(experiment_id="Bad Name!"))
-
     def test_dataset_target_rejects_bpr_models(self):
-        raw = _small_config(
-            target={"kind": "dataset", "schema": "concrete", "path": "x.csv",
-                    "test_fraction": 0.25, "subsample": None,
-                    "model_noise_variance": 0.1})
+        raw = _small_config(target=_DATASET_TARGET)
         del raw["pool"], raw["test"]
         with pytest.raises(ConfigError, match="univariate"):
             parse_config_dict(raw)
 
     def test_dataset_auto_bound_rejected(self):
         raw = _small_config(
-            target={"kind": "dataset", "schema": "concrete", "path": "x.csv",
-                    "test_fraction": 0.25, "subsample": None,
-                    "model_noise_variance": 0.1},
+            target=_DATASET_TARGET,
             models=[{"kind": "gpr", "kernel": {"kind": "rbf"}}],
             strategies=[{"kind": "upper_bound", "gradient_bound": "auto"}],
         )
         del raw["pool"], raw["test"]
         with pytest.raises(ConfigError, match="auto"):
             parse_config_dict(raw)
-
-
-    def test_output_dir_must_be_a_string(self):
-        with pytest.raises(ConfigError, match="output_dir"):
-            parse_config_dict(_small_config(output_dir=5))
 
 
 class TestRunExperiment:
@@ -246,34 +253,6 @@ class TestDiscrepancyKind:
         assert cfg.grid.layout == "grid"
 
 
-def test_every_shipped_config_runs_scaled_down(tmp_path):
-    # end-to-end viability of each shipped experiment at toy scale
-    from dataclasses import replace
-
-    from conftest import write_concrete_csv, write_facebook_csv
-    from ual_lab.expcli import DatasetTargetSpec, parse_config
-
-    write_concrete_csv(tmp_path / "concrete.csv", n_rows=40)
-    write_facebook_csv(tmp_path / "facebook.csv", n_rows=40)
-    for exp_id, path in shipped_experiments().items():
-        cfg = parse_config(path)
-        cfg = replace(cfg, n_seeds=1, parallelism=1)
-        if cfg.kind == "al_curves":
-            cfg = replace(cfg, budget=2)
-        if isinstance(cfg.target, DatasetTargetSpec):
-            source = "concrete.csv" if cfg.target.schema == "concrete" else "facebook.csv"
-            cfg = replace(cfg, target=replace(cfg.target, path=str(tmp_path / source),
-                                              subsample=20))
-        res = run_experiment(cfg)
-        out = tmp_path / exp_id
-        paths = emit(res, out, cfg)
-        assert (out / "meta.json").exists()
-        if cfg.kind == "al_curves":
-            assert (out / "traces.csv").exists()
-        else:
-            assert (out / "discrepancy.csv").exists()
-
-
 class TestCli:
     def test_validate_shipped(self, capsys):
         assert main(["validate", "--config", "fig3_fig4_bpr_degrees"]) == 0
@@ -312,3 +291,18 @@ class TestCli:
                      "--seed", "123"]) == 0
         meta = json.loads((tmp_path / "o" / "meta.json").read_text())
         assert meta["config"]["master_seed"] == 123
+
+    @pytest.mark.parametrize("flag, key", [("--parallel", "parallelism"),
+                                           ("--seed", "master_seed")])
+    def test_bad_override_exits_2(self, tmp_path, capsys, flag, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_small_config()))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                     flag, "-1"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}: must be >=")
+        assert not (tmp_path / "o").exists()
+
+    def test_missing_dataset_file_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the shipped relative data path does not exist here
+        assert main(["run", "--config", "fig9_concrete", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: dataset file not found")

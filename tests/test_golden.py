@@ -4,7 +4,8 @@ Each shipped config runs with 3 seeds, budget 12 and one process; the two
 dataset configs run on the CSV writers in ``conftest.py``. The emitted
 ``traces.csv`` + ``summary.csv`` (``discrepancy.csv`` for the discrepancy
 kind) are compared with the copies under ``tests/golden/<experiment id>/``:
-ids, steps, counts and chosen inputs exactly, floats to 1e-9 relative.
+ids, steps, counts and chosen inputs exactly, floats to 1e-9 relative. The
+config written to ``meta.json`` must re-parse to the config that ran.
 
 Refactors must leave this test green with the golden files untouched. A
 change meant to alter results regenerates them with
@@ -47,16 +48,16 @@ def _toy_config(exp_id: str, data_dir: Path):
         target["path"] = str(path)
         if target["subsample"] is not None:
             target["subsample"] = SUBSAMPLE
-    return parse_config_dict(raw, source=exp_id)
+    return parse_config_dict(raw)
 
 
-def _emit_toy(exp_id: str, out_dir: Path) -> list[str]:
-    """Run the toy-scale copy of one shipped config; return the pinned CSV names."""
+def _emit_toy(exp_id: str, out_dir: Path):
+    """Run the toy-scale copy of one shipped config; return it and the pinned CSV names."""
     cfg = _toy_config(exp_id, out_dir)
     emit(run_experiment(cfg), out_dir, cfg)
     if cfg.kind == "discrepancy":
-        return ["discrepancy.csv"]
-    return ["traces.csv", "summary.csv"]
+        return cfg, ["discrepancy.csv"]
+    return cfg, ["traces.csv", "summary.csv"]
 
 
 def _rows(path: Path) -> list[dict]:
@@ -72,7 +73,10 @@ def _same(column: str, got: str, want: str) -> bool:
 
 @pytest.mark.parametrize("exp_id", sorted(shipped_experiments()))
 def test_shipped_config_matches_golden(exp_id, tmp_path):
-    for name in _emit_toy(exp_id, tmp_path):
+    cfg, names = _emit_toy(exp_id, tmp_path)
+    meta = json.loads((tmp_path / "meta.json").read_text(encoding="utf-8"))
+    assert parse_config_dict(meta["config"]) == cfg
+    for name in names:
         got = _rows(tmp_path / name)
         want = _rows(GOLDEN / exp_id / name)
         assert len(got) == len(want), f"{exp_id}/{name}: {len(got)} rows, golden {len(want)}"
@@ -87,7 +91,7 @@ def test_shipped_config_matches_golden(exp_id, tmp_path):
 def _write_golden() -> None:
     for exp_id in sorted(shipped_experiments()):
         with tempfile.TemporaryDirectory() as tmp:
-            names = _emit_toy(exp_id, Path(tmp))
+            _, names = _emit_toy(exp_id, Path(tmp))
             dest = GOLDEN / exp_id
             dest.mkdir(parents=True, exist_ok=True)
             for name in names:
