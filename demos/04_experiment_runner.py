@@ -36,8 +36,8 @@ for path in emit(results, Path("demo04_out"), config, wall):
     print("wrote", path)
 
 print("\nfinal-step mean MSE per (model, strategy):")
-for model_id in results.model_ids:
-    for strategy_id in results.strategy_ids:
+for model_id in config.model_ids:
+    for strategy_id in config.strategy_ids:
         means, stds = results.summary[(model_id, strategy_id)]
         print(f"  {model_id:9s} {strategy_id:9s} {means[-1]:8.4f} +- {stds[-1]:.4f}")
 print("\nthe low-degree model ends worse under variance guidance; the matched "

@@ -1,9 +1,12 @@
 """Pool-based active learning driver.
 
 One run: fit on the initial labeled set, record step 0, then repeatedly
-score the pool, query the winner's label, refit from scratch, and record
-the test error. Refits are always on the full labeled set, so the final
-model depends only on which points were acquired, not in what order.
+score the pool, query the winner's label, refit the learner from scratch,
+and record the test error. Learner refits are always on the full labeled
+set, so the final model depends only on which points were acquired, not
+in what order. The surrogate GP of ``direct_mse`` and ``upper_bound`` is
+fit once on the initial labeled set and extended by one Cholesky row per
+label (:func:`gpr.gp_append`).
 Both learners return a :class:`FittedModel`, the one type the loop and
 the acquisition scores predict through.
 """
@@ -17,7 +20,14 @@ import numpy as np
 
 from . import acquisition as acq
 from .bpr import BprPosterior, default_prior, posterior_update, predictive_batch
-from .gpr import GpModel, KernelSpec, fit_lengthscale_grid, gp_fit, gp_predict_batch
+from .gpr import (
+    GpModel,
+    KernelSpec,
+    fit_lengthscale_grid,
+    gp_append,
+    gp_fit,
+    gp_predict_batch,
+)
 from .rng import derive_rng
 from .synthetic import GroundTruthTarget, LabeledSet, TestSet, UnlabeledPool, eval_target
 
@@ -167,6 +177,10 @@ def run_al(
     labeled = init_labeled
     model = learner.fit(labeled.inputs, labeled.outputs)
     records = [_record(0, model, test, None)]
+    surrogate = None
+    if strategy.kind in (acq.DIRECT_MSE, acq.UPPER_BOUND):
+        surrogate = gp_fit(strategy.surrogate_kernel, labeled.inputs, labeled.outputs,
+                           model.noise_variance)
 
     for step in range(1, budget + 1):
         if strategy.kind == acq.RANDOM:
@@ -175,26 +189,21 @@ def run_al(
             candidates = pool.candidates[pool.active]
             if strategy.kind == acq.VARIANCE:
                 scores = acq.score_variance(model, candidates)
+            elif strategy.kind == acq.DIRECT_MSE:
+                scores = acq.score_direct_mse(surrogate, model, candidates)
             else:
-                surrogate = gp_fit(
-                    strategy.surrogate_kernel,
-                    labeled.inputs,
-                    labeled.outputs,
-                    model.noise_variance,
+                scores = acq.score_upper_bound(
+                    surrogate, model, candidates, labeled.inputs,
+                    strategy.gradient_bound, strategy.confidence,
+                    pool_size=candidates.shape[0],
                 )
-                if strategy.kind == acq.DIRECT_MSE:
-                    scores = acq.score_direct_mse(surrogate, model, candidates)
-                else:
-                    scores = acq.score_upper_bound(
-                        surrogate, model, candidates, labeled.inputs,
-                        strategy.gradient_bound, strategy.confidence,
-                        pool_size=candidates.shape[0],
-                    )
             chosen = acq.select(pool, scores)
         x = pool.candidates[chosen]
         y = oracle.label(chosen, x)
         labeled = labeled.appended(x, y)
         pool = pool.deactivated(chosen)
+        if surrogate is not None:
+            surrogate = gp_append(surrogate, x, y)
         model = learner.fit(labeled.inputs, labeled.outputs)
         records.append(_record(step, model, test, x))
     return RunTrace(tuple(records))

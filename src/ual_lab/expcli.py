@@ -80,12 +80,8 @@ class RunKey:
 
 @dataclass(frozen=True)
 class AggregateResults:
-    experiment_id: str
-    kind: str
-    model_ids: tuple[str, ...]
-    strategy_ids: tuple[str, ...]
-    n_seeds: int
-    budget: int
+    """What one experiment computed; which experiment it was stays in its config."""
+
     traces: dict  # RunKey -> RunTrace (al_curves)
     summary: dict  # (model_id, strategy_id) -> (mean array, std array)
     discrepancy: Optional[dict] = None  # model_id -> (grid xs, mean gaps)
@@ -210,8 +206,7 @@ def run_experiment(cfg: ExperimentConfig,
         discrepancy = {
             model_id: (xs, mean_gaps[mi]) for mi, model_id in enumerate(cfg.model_ids)
         }
-        return AggregateResults(cfg.experiment_id, cfg.kind, cfg.model_ids, (),
-                                cfg.n_seeds, 0, {}, {}, discrepancy)
+        return AggregateResults({}, {}, discrepancy)
 
     traces: dict[RunKey, RunTrace] = {}
     for _, runs in results:
@@ -225,8 +220,7 @@ def run_experiment(cfg: ExperimentConfig,
                 for seed in range(cfg.n_seeds)
             ])
             summary[(model_id, strategy_id)] = (curves.mean(axis=0), curves.std(axis=0))
-    return AggregateResults(cfg.experiment_id, cfg.kind, cfg.model_ids,
-                            cfg.strategy_ids, cfg.n_seeds, cfg.budget, traces, summary)
+    return AggregateResults(traces, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +245,13 @@ def emit(results: AggregateResults, out_dir: str | Path, cfg: ExperimentConfig,
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
-    if results.kind == "discrepancy":
+    if cfg.kind == "discrepancy":
         path = out / "discrepancy.csv"
         lines = [DISCREPANCY_HEADER]
-        for model_id in results.model_ids:
+        for model_id in cfg.model_ids:
             xs, gaps = results.discrepancy[model_id]
             lines.extend(
-                f"{results.experiment_id},{model_id},{_fmt(x)},{_fmt(g)}"
+                f"{cfg.experiment_id},{model_id},{_fmt(x)},{_fmt(g)}"
                 for x, g in zip(xs, gaps)
             )
         _write_text(path, "\n".join(lines) + "\n")
@@ -265,26 +259,26 @@ def emit(results: AggregateResults, out_dir: str | Path, cfg: ExperimentConfig,
         series = [
             Series(model_id, results.discrepancy[model_id][0],
                    np.maximum(results.discrepancy[model_id][1], 1e-18))
-            for model_id in results.model_ids
+            for model_id in cfg.model_ids
         ]
         svg_path = out / "discrepancy.svg"
         _write_text(svg_path, line_chart(
-            f"{results.experiment_id}: variance-proxy gap", "x", "|MSE - 2*spread|",
+            f"{cfg.experiment_id}: variance-proxy gap", "x", "|MSE - 2*spread|",
             series, log_y=True,
         ))
         written.append(svg_path)
     else:
         trace_lines = [TRACES_HEADER]
         init_size = 1
-        for seed in range(results.n_seeds):
-            for model_id in results.model_ids:
-                for strategy_id in results.strategy_ids:
+        for seed in range(cfg.n_seeds):
+            for model_id in cfg.model_ids:
+                for strategy_id in cfg.strategy_ids:
                     trace = results.traces[RunKey(seed, model_id, strategy_id)]
                     for rec in trace.records:
                         bias = "" if rec.bias is None else _fmt(rec.bias)
                         var = "" if rec.variance is None else _fmt(rec.variance)
                         trace_lines.append(
-                            f"{results.experiment_id},{seed},{model_id},{strategy_id},"
+                            f"{cfg.experiment_id},{seed},{model_id},{strategy_id},"
                             f"{rec.step},{init_size + rec.step},{_fmt_chosen(rec.chosen_x)},"
                             f"{_fmt(rec.test_mse)},{bias},{var}"
                         )
@@ -293,22 +287,22 @@ def emit(results: AggregateResults, out_dir: str | Path, cfg: ExperimentConfig,
         written.append(path)
 
         summary_lines = [SUMMARY_HEADER]
-        for model_id in results.model_ids:
-            for strategy_id in results.strategy_ids:
+        for model_id in cfg.model_ids:
+            for strategy_id in cfg.strategy_ids:
                 means, stds = results.summary[(model_id, strategy_id)]
                 summary_lines.extend(
-                    f"{results.experiment_id},{model_id},{strategy_id},{step},"
-                    f"{_fmt(means[step])},{_fmt(stds[step])},{results.n_seeds}"
+                    f"{cfg.experiment_id},{model_id},{strategy_id},{step},"
+                    f"{_fmt(means[step])},{_fmt(stds[step])},{cfg.n_seeds}"
                     for step in range(means.size)
                 )
         path = out / "summary.csv"
         _write_text(path, "\n".join(summary_lines) + "\n")
         written.append(path)
 
-        steps = np.arange(results.budget + 1)
-        for model_id in results.model_ids:
+        steps = np.arange(cfg.budget + 1)
+        for model_id in cfg.model_ids:
             series = []
-            for strategy_id in results.strategy_ids:
+            for strategy_id in cfg.strategy_ids:
                 means, stds = results.summary[(model_id, strategy_id)]
                 floor = 1e-12
                 series.append(Series(
@@ -318,7 +312,7 @@ def emit(results: AggregateResults, out_dir: str | Path, cfg: ExperimentConfig,
                 ))
             svg_path = out / f"curves_{model_id}.svg"
             _write_text(svg_path, line_chart(
-                f"{results.experiment_id}: {model_id}", "acquisitions",
+                f"{cfg.experiment_id}: {model_id}", "acquisitions",
                 "mean test MSE", series, log_y=True,
             ))
             written.append(svg_path)

@@ -91,7 +91,7 @@ def gpr_scaled():
     })
     start = time.perf_counter()
     results = run_experiment(cfg)
-    return results, time.perf_counter() - start
+    return cfg, results, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +116,7 @@ def remedies_scaled():
     })
     start = time.perf_counter()
     results = run_experiment(cfg)
-    return results, time.perf_counter() - start
+    return cfg, results, time.perf_counter() - start
 
 
 def _step_means(results, model_id, strategy_id, step, n_seeds):
@@ -299,8 +299,8 @@ def test_criterion_7_variance_proxy_gap_separation():
 
 
 def test_criterion_8_kernel_orderings_at_step_50(gpr_scaled):
-    results, elapsed = gpr_scaled
-    n_seeds = results.n_seeds
+    cfg, results, elapsed = gpr_scaled
+    n_seeds = cfg.n_seeds
     matern_ual = _step_means(results, "gpr_matern52", "variance", 50, n_seeds)
     matern_rnd = _step_means(results, "gpr_matern52", "random", 50, n_seeds)
     linear_ual = _step_means(results, "gpr_linear", "variance", 50, n_seeds)
@@ -317,8 +317,8 @@ def test_criterion_8_kernel_orderings_at_step_50(gpr_scaled):
 
 
 def test_criterion_9_remedies_at_step_50(remedies_scaled):
-    results, elapsed = remedies_scaled
-    n_seeds = results.n_seeds
+    cfg, results, elapsed = remedies_scaled
+    n_seeds = cfg.n_seeds
     means = {
         kind: _step_means(results, "bpr_deg1", kind, 50, n_seeds).mean()
         for kind in ("direct_mse", "upper_bound", "variance", "random")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ual_lab import acquisition as acq
 from ual_lab.acquisition import StrategySpec
 from ual_lab.alloop import (
     BprLearner,
@@ -9,13 +10,14 @@ from ual_lab.alloop import (
     TableOracle,
     run_al,
 )
-from ual_lab.gpr import KernelSpec
+from ual_lab.gpr import KernelSpec, gp_fit
 from ual_lab.rng import derive_rng
 from ual_lab.synthetic import TestSet as HoldoutSet
 from ual_lab.synthetic import (
     LabeledSet,
     build_pool,
     build_test_set,
+    gradient_bound,
     sample_target,
 )
 
@@ -89,7 +91,6 @@ class TestRunAl:
 
     def test_gp_learner_and_remedies_run(self):
         target, oracle, init, pool, test = _setup()
-        from ual_lab.synthetic import gradient_bound
         for spec in (
             StrategySpec("direct_mse"),
             StrategySpec("upper_bound", gradient_bound=gradient_bound(target, -2, 2)),
@@ -110,6 +111,52 @@ class TestRunAl:
                        pool, test, 4, derive_rng(70, 0, 12))
         for rec in trace.records:
             assert rec.test_mse == pytest.approx(rec.bias + rec.variance, rel=1e-12)
+
+
+def _refit_surrogate_choices(learner, strategy, oracle, labeled, pool, budget):
+    """Reference selections: refit the surrogate with ``gp_fit`` before every step."""
+    chosen = []
+    for _ in range(budget):
+        model = learner.fit(labeled.inputs, labeled.outputs)
+        surrogate = gp_fit(strategy.surrogate_kernel, labeled.inputs, labeled.outputs,
+                           model.noise_variance)
+        candidates = pool.candidates[pool.active]
+        if strategy.kind == acq.DIRECT_MSE:
+            scores = acq.score_direct_mse(surrogate, model, candidates)
+        else:
+            scores = acq.score_upper_bound(surrogate, model, candidates, labeled.inputs,
+                                           strategy.gradient_bound, strategy.confidence,
+                                           pool_size=candidates.shape[0])
+        index = acq.select(pool, scores)
+        x = pool.candidates[index]
+        chosen.append(x)
+        labeled = labeled.appended(x, oracle.label(index, x))
+        pool = pool.deactivated(index)
+    return np.array(chosen)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_extended_surrogate_selects_as_refit_surrogate(seed):
+    # fig10/fig11 shape: linear model, quadratic-plus-cosine target, pool of 200
+    target = sample_target(2, derive_rng(73, seed, 0), "polynomial-plus-cosine")
+    pool = build_pool(200, -2, 2)
+    oracle = SyntheticOracle(target, 73, (seed, 1))
+    init_idx = int(derive_rng(73, seed, 2).integers(200))
+    test = build_test_set(500, -2, 2, target, derive_rng(73, seed, 3))
+    x0 = pool.candidates[init_idx]
+    init = LabeledSet(x0[None, :], [oracle.label(init_idx, x0)])
+    pool = pool.deactivated(init_idx)
+    budget = 60
+    for strategy in (
+        StrategySpec("direct_mse"),
+        StrategySpec("upper_bound", gradient_bound=gradient_bound(target, -2, 2)),
+    ):
+        trace = run_al(BprLearner(1, 1.0), strategy, oracle, init, pool, test, budget,
+                       derive_rng(73, seed, 4))
+        got = np.array([r.chosen_x for r in trace.records[1:]])
+        want = _refit_surrogate_choices(BprLearner(1, 1.0), strategy, oracle, init, pool,
+                                        budget)
+        np.testing.assert_array_equal(got, want, err_msg=strategy.kind)
 
 
 class TestOracles:

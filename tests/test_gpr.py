@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ual_lab.bpr import default_prior, posterior_update, predictive_batch
+from ual_lab.errors import NumericalError
 from ual_lab.gpr import (
     KernelSpec,
     fit_lengthscale_grid,
+    gp_append,
     gp_fit,
     gp_predict_batch,
     kernel_matrix,
@@ -138,3 +142,50 @@ def test_lengthscale_grid_prefers_data_scale():
     best_ll = log_marginal_likelihood(model)
     worse = gp_fit(KernelSpec("rbf", lengthscale=10.0), xs, ys, 0.01)
     assert best_ll > log_marginal_likelihood(worse)
+
+
+@st.composite
+def _append_cases(draw):
+    """A kernel, a noise level and inputs with near-duplicates mixed in."""
+    kind = draw(st.sampled_from(("linear", "rbf", "matern52")))
+    noise = draw(st.floats(1e-2, 10.0))
+    base = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=25))
+    near = draw(st.lists(st.tuples(st.integers(0, len(base) - 1), st.floats(-1e-8, 1e-8)),
+                         max_size=10))
+    xs = base + [base[i] + eps for i, eps in near]
+    order = draw(st.permutations(range(len(xs))))
+    xs = np.array([xs[i] for i in order])[:, None]
+    ys = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=len(xs), max_size=len(xs))))
+    return KernelSpec(kind), noise, xs, ys
+
+
+class TestAppend:
+    @settings(max_examples=150, deadline=None)
+    @given(_append_cases())
+    def test_chained_appends_equal_one_fit(self, case):
+        spec, noise, xs, ys = case
+        grown = gp_fit(spec, xs[:1], ys[:1], noise)
+        for x, y in zip(xs[1:], ys[1:]):
+            grown = gp_append(grown, x, y)
+        scratch = gp_fit(spec, xs, ys, noise)
+        tol = {"rtol": 1e-10, "atol": 1e-12}
+        np.testing.assert_array_equal(grown.train_inputs, scratch.train_inputs)
+        np.testing.assert_array_equal(grown.train_outputs, scratch.train_outputs)
+        np.testing.assert_allclose(grown.chol_factor, scratch.chol_factor, **tol)
+        np.testing.assert_allclose(grown.weights, scratch.weights, **tol)
+        qs = np.linspace(-2.5, 2.5, 41)[:, None]
+        for got, want in zip(gp_predict_batch(grown, qs), gp_predict_batch(scratch, qs)):
+            np.testing.assert_allclose(got, want, **tol)
+
+    def test_append_to_empty_fit(self):
+        spec = KernelSpec("rbf")
+        grown = gp_append(gp_fit(spec, np.zeros((0, 1)), [], 0.5), [0.3], 1.2)
+        scratch = gp_fit(spec, [[0.3]], [1.2], 0.5)
+        np.testing.assert_allclose(grown.chol_factor, scratch.chol_factor, rtol=1e-15)
+        np.testing.assert_allclose(grown.weights, scratch.weights, rtol=1e-15)
+
+    def test_zero_pivot_raises(self):
+        # bias 0, weight 1: K = [[1, 2], [2, 4]] is singular, and noise 0 adds nothing
+        model = gp_fit(KernelSpec("linear", bias=0.0, weight=1.0), [[1.0]], [1.0], 0.0)
+        with pytest.raises(NumericalError):
+            gp_append(model, [2.0], 2.0)
