@@ -11,14 +11,15 @@ from ual_lab.bpr import default_prior, posterior_update, predictive_batch
 from ual_lab.gpr import KernelSpec, gp_fit, gp_predict_batch
 from ual_lab.rng import derive_rng
 from ual_lab.svg import Series, line_chart
-from ual_lab.synthetic import eval_target, observe, sample_target
+from ual_lab.synthetic import eval_target, sample_target
 
 rng = derive_rng(2024, 0)
 target = sample_target(order=3, rng=rng, noise_variance=1.0)
 print("target coefficients:", np.round(target.coefficients, 3))
 
 train_x = rng.uniform(-2, 2, 15)
-train_y = observe(target, train_x, rng)
+noise = np.sqrt(target.noise_variance) * rng.standard_normal(train_x.size)
+train_y = eval_target(target, train_x) + noise
 
 post = posterior_update(default_prior(3, 1.0), train_x, train_y)
 print("polynomial posterior mean:", np.round(post.mean, 3))

@@ -1,20 +1,28 @@
 """Closed-form MSE of Bayesian polynomial regression under a random target.
 
-The target family is an l-th order polynomial with Gaussian coefficients;
-the predictor is a degree-p conjugate Bayesian polynomial regressor. The
-expected squared error of the posterior-mean prediction (plus the posterior
-spread) has a nine-term closed form, which collapses to twice the
-predictive quadratic form when the model matches the family, and to a
-six-term block expression when the model is lower-order. Each identity is
-kept term-by-term, unsimplified: the tests' job is to confirm the algebra
-against a Monte-Carlo oracle, so no terms are merged ahead of time.
+The target family is an l-th order polynomial with coefficients drawn from
+N(mean, cov) and known noise variance: the same four fields as a model
+prior, so a family is a :class:`~ual_lab.bpr.BprPrior` of degree l. The
+predictor is a degree-p conjugate Bayesian polynomial regressor with its
+own prior. The model is matched when its prior equals the family, and
+lower-order when its prior is the family's head block (the coordinates of
+1..x^p).
+
+Every closed form is evaluated on a grid ``xs`` for one set of training
+inputs: it builds the designs and the posterior covariance once, then
+evaluates the per-x expression at each grid point. The expected squared
+error of the posterior-mean prediction (plus the posterior spread) has a
+nine-term closed form, which collapses to twice the predictive quadratic
+form when the model is matched, and to a six-term block expression when it
+is lower-order. Each identity is kept term-by-term, unsimplified: the
+tests' job is to confirm the algebra against a Monte-Carlo oracle, so no
+terms are merged ahead of time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -23,8 +31,6 @@ from .errors import TruncationError
 from .linalg import chol_spd, chol_solve_vec
 
 __all__ = [
-    "TargetFamily",
-    "LowerOrderPartition",
     "DecompositionReport",
     "BiasBoundReport",
     "closed_form_mse",
@@ -37,29 +43,9 @@ __all__ = [
     "bias_bound_check",
 ]
 
-
-@dataclass(frozen=True)
-class TargetFamily:
-    """Random polynomial targets: coefficients ~ N(mean, cov), known noise."""
-
-    order: int
-    mean: np.ndarray
-    cov: np.ndarray
-    noise_variance: float
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        cov = np.asarray(self.cov, dtype=float)
-        k = self.order + 1
-        if mean.shape != (k,):
-            raise ValueError(f"family mean must have length {k}")
-        if cov.shape != (k, k):
-            raise ValueError(f"family cov must be {k}x{k}")
-        np.linalg.cholesky(cov)
-        if self.noise_variance <= 0:
-            raise ValueError("noise_variance must be > 0")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+_MC_BATCHES = 10          # batches behind the Monte-Carlo standard error
+_RATIO_GRID_POINTS = 20001  # grid for the density-ratio supremum
+_MASS_TOL = 1e-6          # probability mass allowed outside the truncated domain
 
 
 def _posterior_cov(prior: BprPrior, phi_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -71,270 +57,186 @@ def _posterior_cov(prior: BprPrior, phi_hat: np.ndarray) -> tuple[np.ndarray, np
     return 0.5 * (cov + cov.T), prior_precision
 
 
-def closed_form_mse_terms(
-    x: float,
-    family: TargetFamily,
-    prior: BprPrior,
-    phi_full: np.ndarray,
-    phi_hat: np.ndarray,
-) -> np.ndarray:
-    """The nine summands of the expected MSE, in derivation order.
-
-    ``phi_full`` is the n x (l+1) design at the family's order and
-    ``phi_hat`` the n x (p+1) design at the model's degree, both built from
-    the same inputs.
-    """
-    phi_full = np.asarray(phi_full, dtype=float)
-    phi_hat = np.asarray(phi_hat, dtype=float)
-    if phi_full.ndim != 2 or phi_full.shape[1] != family.order + 1:
-        raise ValueError("phi_full must be n x (target order + 1)")
-    if phi_hat.ndim != 2 or phi_hat.shape[1] != prior.degree + 1:
-        raise ValueError("phi_hat must be n x (model degree + 1)")
-    if phi_full.shape[0] != phi_hat.shape[0]:
-        raise ValueError("phi_full and phi_hat must come from the same inputs")
+def _check_noise(family: BprPrior, prior: BprPrior) -> None:
     if not math.isclose(family.noise_variance, prior.noise_variance,
                         rel_tol=0.0, abs_tol=1e-12):
         raise ValueError("family and prior must share one noise variance")
 
+
+def _grid(xs) -> np.ndarray:
+    return np.asarray(xs, dtype=float).reshape(-1)
+
+
+def _quadratic_forms(xs, degree: int, cov: np.ndarray) -> np.ndarray:
+    """phi(x, degree)^T cov phi(x, degree) at each x."""
+    return np.array([phi @ cov @ phi for phi in (feature_map(x, degree) for x in _grid(xs))])
+
+
+def closed_form_mse_terms(xs, family: BprPrior, prior: BprPrior, inputs) -> np.ndarray:
+    """The nine summands of the expected MSE at each x, in derivation order.
+
+    Returns a (len(xs), 9) array for training inputs ``inputs``.
+    """
+    _check_noise(family, prior)
+    phi_full = design_matrix(inputs, family.degree)
+    phi_hat = design_matrix(inputs, prior.degree)
+
     sig2 = prior.noise_variance
     mu, sigma = family.mean, family.cov
     mu_hat = prior.mean
-    phi_l = feature_map(x, family.order)
-    phi_p = feature_map(x, prior.degree)
-
     post_cov, prior_precision = _posterior_cov(prior, phi_hat)
 
     second_moment = np.outer(mu, mu) + sigma            # E[w w^T]
-    sp_phi = post_cov @ phi_p                            # Sigma_p phi^p
     shrink = prior_precision @ mu_hat                    # Sigma_hat^{-1} mu_hat
     a_vec = post_cov @ shrink                            # Sigma_p Sigma_hat^{-1} mu_hat
     cross = phi_hat.T @ phi_full                         # Phi_hat^T Phi
-    b_vec = cross.T @ sp_phi                             # Phi^T Phi_hat Sigma_p phi^p
+    gram = phi_hat.T @ phi_hat                           # Phi_hat^T Phi_hat
 
-    terms = np.empty(9)
-    terms[0] = phi_l @ second_moment @ phi_l
-    terms[1] = -2.0 * (phi_p @ a_vec) * (mu @ phi_l)
-    terms[2] = -(2.0 / sig2) * (sp_phi @ cross @ second_moment @ phi_l)
-    terms[3] = (phi_p @ a_vec) ** 2
-    terms[4] = (1.0 / sig2) * (phi_p @ a_vec) * (mu @ b_vec)
-    terms[5] = (1.0 / sig2) * (b_vec @ mu) * (shrink @ sp_phi)
-    terms[6] = (1.0 / sig2**2) * (b_vec @ second_moment @ b_vec)
-    terms[7] = (1.0 / sig2) * (sp_phi @ (phi_hat.T @ phi_hat) @ sp_phi)
-    terms[8] = phi_p @ sp_phi
+    xs = _grid(xs)
+    terms = np.empty((xs.size, 9))
+    for t, x in zip(terms, xs):
+        phi_l = feature_map(x, family.degree)
+        phi_p = feature_map(x, prior.degree)
+        sp_phi = post_cov @ phi_p                        # Sigma_p phi^p
+        b_vec = cross.T @ sp_phi                         # Phi^T Phi_hat Sigma_p phi^p
+        t[0] = phi_l @ second_moment @ phi_l
+        t[1] = -2.0 * (phi_p @ a_vec) * (mu @ phi_l)
+        t[2] = -(2.0 / sig2) * (sp_phi @ cross @ second_moment @ phi_l)
+        t[3] = (phi_p @ a_vec) ** 2
+        t[4] = (1.0 / sig2) * (phi_p @ a_vec) * (mu @ b_vec)
+        t[5] = (1.0 / sig2) * (b_vec @ mu) * (shrink @ sp_phi)
+        t[6] = (1.0 / sig2**2) * (b_vec @ second_moment @ b_vec)
+        t[7] = (1.0 / sig2) * (sp_phi @ gram @ sp_phi)
+        t[8] = phi_p @ sp_phi
     return terms
 
 
-def closed_form_mse(
-    x: float,
-    family: TargetFamily,
-    prior: BprPrior,
-    phi_full: np.ndarray,
-    phi_hat: np.ndarray,
-) -> float:
-    """Expected MSE at x: sum of the nine closed-form terms."""
-    return float(closed_form_mse_terms(x, family, prior, phi_full, phi_hat).sum())
+def closed_form_mse(xs, family: BprPrior, prior: BprPrior, inputs) -> np.ndarray:
+    """Expected MSE at each x: the sum of the nine closed-form terms."""
+    return closed_form_mse_terms(xs, family, prior, inputs).sum(axis=1)
 
 
-def matched_mse(x: float, post: BprPosterior) -> float:
-    """2 * phi^T Sigma_p phi: the matched-model MSE, twice the spread."""
-    phi = feature_map(x, post.degree)
-    return 2.0 * float(phi @ post.cov @ phi)
+def matched_mse(xs, post: BprPosterior) -> np.ndarray:
+    """2 * phi^T Sigma_p phi at each x: the matched-model MSE, twice the spread."""
+    return 2.0 * _quadratic_forms(xs, post.degree, post.cov)
 
 
-@dataclass(frozen=True)
-class LowerOrderPartition:
-    """Block split of an order-l family around a degree-p model (p < l).
+def lower_order_mse(xs, family: BprPrior, prior: BprPrior, inputs
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Six-term lower-order MSE at each x: (total, polynomial remainder, spread).
 
-    The complement blocks carry the monomials x^(p+1)..x^l the model cannot
-    represent; the head blocks carry 1..x^p. Reassembling the blocks in
-    monomial order reproduces the unpartitioned objects exactly.
+    The family is split at the model degree p into head blocks (1..x^p)
+    and complement blocks (x^(p+1)..x^l). Valid under the block
+    assumptions: the prior must equal the family's head blocks.
+    total = remainder + 2 * spread.
     """
-
-    target_order: int
-    model_degree: int
-    design_complement: np.ndarray  # n x (l-p)
-    design_head: np.ndarray        # n x (p+1)
-    mean_complement: np.ndarray
-    mean_head: np.ndarray
-    cov_complement: np.ndarray     # (l-p) x (l-p)
-    cov_cross: np.ndarray          # (l-p) x (p+1)
-    cov_head: np.ndarray           # (p+1) x (p+1)
-
-    def __post_init__(self):
-        l, p = self.target_order, self.model_degree
-        if not 0 <= p <= l:
-            raise ValueError("need 0 <= model degree <= target order")
-        m, k = l - p, p + 1
-        shapes = {
-            "design_complement": (self.design_complement.shape[1], m),
-            "mean_complement": (self.mean_complement.shape[0], m),
-            "mean_head": (self.mean_head.shape[0], k),
-            "cov_complement": (self.cov_complement.shape, (m, m)),
-            "cov_cross": (self.cov_cross.shape, (m, k)),
-            "cov_head": (self.cov_head.shape, (k, k)),
-        }
-        for name, (got, want) in shapes.items():
-            if got != want:
-                raise ValueError(f"{name}: expected shape {want}, got {got}")
-        if self.design_head.shape[1] != k:
-            raise ValueError("design_head must have model degree + 1 columns")
-        if self.design_complement.shape[0] != self.design_head.shape[0]:
-            raise ValueError("design blocks must share the row count")
-
-    @classmethod
-    def from_family(cls, family: TargetFamily, inputs, model_degree: int
-                    ) -> "LowerOrderPartition":
-        l, p = family.order, model_degree
-        phi_full = design_matrix(inputs, l)
-        return cls(
-            target_order=l,
-            model_degree=p,
-            design_complement=phi_full[:, p + 1:],
-            design_head=phi_full[:, : p + 1],
-            mean_complement=family.mean[p + 1:],
-            mean_head=family.mean[: p + 1],
-            cov_complement=family.cov[p + 1:, p + 1:],
-            cov_cross=family.cov[p + 1:, : p + 1],
-            cov_head=family.cov[: p + 1, : p + 1],
-        )
-
-    def phi_complement(self, x: float) -> np.ndarray:
-        """[x^(p+1), ..., x^l]."""
-        return np.power(float(x), np.arange(self.model_degree + 1, self.target_order + 1))
-
-    def phi_head(self, x: float) -> np.ndarray:
-        return feature_map(x, self.model_degree)
-
-    def full_design(self) -> np.ndarray:
-        return np.hstack([self.design_head, self.design_complement])
-
-    def full_mean(self) -> np.ndarray:
-        return np.concatenate([self.mean_head, self.mean_complement])
-
-    def full_cov(self) -> np.ndarray:
-        top = np.hstack([self.cov_head, self.cov_cross.T])
-        bottom = np.hstack([self.cov_cross, self.cov_complement])
-        return np.vstack([top, bottom])
-
-
-def lower_order_mse(
-    x: float,
-    partition: LowerOrderPartition,
-    prior: BprPrior,
-    noise_variance: float,
-) -> tuple[float, float, float]:
-    """Six-term lower-order MSE: (total, polynomial remainder, spread).
-
-    Valid under the block assumptions: the prior must equal the family's
-    head blocks. total = remainder + 2 * spread.
-    """
-    if prior.degree != partition.model_degree:
-        raise ValueError("prior degree must match the partition's model degree")
-    if not math.isclose(noise_variance, prior.noise_variance, rel_tol=0.0, abs_tol=1e-12):
-        raise ValueError("prior and call noise variances must agree")
-    if not np.allclose(prior.mean, partition.mean_head, atol=1e-12):
+    p, l = prior.degree, family.degree
+    if p > l:
+        raise ValueError("prior degree must not exceed the family's order")
+    _check_noise(family, prior)
+    if not np.allclose(prior.mean, family.mean[: p + 1], atol=1e-12):
         raise ValueError("prior mean must equal the family's head mean block")
-    if not np.allclose(prior.cov, partition.cov_head, atol=1e-12):
+    if not np.allclose(prior.cov, family.cov[: p + 1, : p + 1], atol=1e-12):
         raise ValueError("prior cov must equal the family's head covariance block")
 
-    sig2 = noise_variance
-    c_phi = partition.phi_complement(x)
-    q_phi = partition.phi_head(x)
-    phi_c = partition.design_complement
-    phi_hat = partition.design_head
-    m_second = partition.cov_complement + np.outer(
-        partition.mean_complement, partition.mean_complement
-    )
+    sig2 = prior.noise_variance
+    phi_full = design_matrix(inputs, l)
+    phi_c, phi_hat = phi_full[:, p + 1:], phi_full[:, : p + 1]
+    mean_c = family.mean[p + 1:]
+    cov_cross = family.cov[p + 1:, : p + 1]              # complement x head
+    m_second = family.cov[p + 1:, p + 1:] + np.outer(mean_c, mean_c)
 
     post_cov, prior_precision = _posterior_cov(prior, phi_hat)
-    sp_q = post_cov @ q_phi
     head_to_c = phi_hat.T @ phi_c                        # Phi_hat^T Phi_c
 
-    t1 = float(c_phi @ m_second @ c_phi)
-    t2 = -(2.0 / sig2) * float(sp_q @ head_to_c @ m_second @ c_phi)
-    t3 = 2.0 * float(q_phi @ post_cov @ prior_precision @ partition.cov_cross.T @ c_phi)
-    t4 = (1.0 / sig2**2) * float(sp_q @ head_to_c @ m_second @ head_to_c.T @ sp_q)
-    t5 = -(2.0 / sig2) * float(sp_q @ head_to_c @ partition.cov_cross @ prior_precision @ sp_q)
-    var_term = float(q_phi @ sp_q)
-    p_term = t1 + t2 + t3 + t4 + t5
-    return p_term + 2.0 * var_term, p_term, var_term
+    xs = _grid(xs)
+    out = np.empty((3, xs.size))
+    for i, x in enumerate(xs):
+        c_phi = np.power(float(x), np.arange(p + 1, l + 1))  # [x^(p+1), ..., x^l]
+        q_phi = feature_map(x, p)
+        sp_q = post_cov @ q_phi
+        t1 = float(c_phi @ m_second @ c_phi)
+        t2 = -(2.0 / sig2) * float(sp_q @ head_to_c @ m_second @ c_phi)
+        t3 = 2.0 * float(q_phi @ post_cov @ prior_precision @ cov_cross.T @ c_phi)
+        t4 = (1.0 / sig2**2) * float(sp_q @ head_to_c @ m_second @ head_to_c.T @ sp_q)
+        t5 = -(2.0 / sig2) * float(sp_q @ head_to_c @ cov_cross @ prior_precision @ sp_q)
+        var_term = float(q_phi @ sp_q)
+        p_term = t1 + t2 + t3 + t4 + t5
+        out[:, i] = p_term + 2.0 * var_term, p_term, var_term
+    return out[0], out[1], out[2]
+
+
+def variance_proxy_gap(xs, family: BprPrior, prior: BprPrior, inputs) -> np.ndarray:
+    """|closed-form MSE - 2 * posterior quadratic form| at each x.
+
+    Zero (to rounding) exactly when the model matches the family; strictly
+    positive at generic x for lower-order models.
+    """
+    mse = closed_form_mse(xs, family, prior, inputs)
+    post_cov, _ = _posterior_cov(prior, design_matrix(inputs, prior.degree))
+    return np.abs(mse - 2.0 * _quadratic_forms(xs, prior.degree, post_cov))
 
 
 @dataclass(frozen=True)
 class DecompositionReport:
-    """Pointwise MSE split into squared deviation and posterior spread."""
+    """Pointwise Monte-Carlo MSE split into squared deviation and posterior spread."""
 
-    x: float
     mse: float
     bias: float
     variance: float
-    method: str  # "closed_form" or "monte_carlo"
-    sample_count: Optional[int] = None
-    bias_standard_error: Optional[float] = None
+    bias_standard_error: float
+
+
+def _affine_predictor(x: float, prior: BprPrior, inputs) -> tuple[float, float, np.ndarray]:
+    """(spread, base, v) at x: the posterior-mean prediction is base + v . y.
+
+    The prediction is affine in the training outputs y, so one posterior
+    on the inputs serves every draw of y.
+    """
+    phi_hat = design_matrix(inputs, prior.degree)
+    phi_p = feature_map(x, prior.degree)
+    post_cov, prior_precision = _posterior_cov(prior, phi_hat)
+    spread = float(phi_p @ post_cov @ phi_p)
+    base = float(phi_p @ post_cov @ prior_precision @ prior.mean)
+    v = (phi_hat @ (post_cov @ phi_p)) / prior.noise_variance
+    return spread, base, v
 
 
 def mc_bias_variance(
     x: float,
-    family: TargetFamily,
+    family: BprPrior,
     prior: BprPrior,
-    n_train: int,
+    inputs,
     n_mc: int,
     rng: np.random.Generator,
-    lo: float = -2.0,
-    hi: float = 2.0,
-    n_batches: int = 10,
-    inputs=None,
 ) -> DecompositionReport:
-    """Monte-Carlo oracle for the closed-form MSE.
+    """Monte-Carlo oracle for the closed-form MSE at x on training inputs ``inputs``.
 
-    Each replicate draws a target from the family and a noisy training set
-    on a shared set of inputs, forms the conjugate posterior, and records
-    the squared deviation of the posterior-mean prediction from the
-    target's value at x. The spread term is exact (it depends only on the
-    inputs); the deviation term is averaged, with a standard error from
-    batching. ``inputs`` pins the training inputs when the caller wants to
-    compare against a closed form on the same design.
+    Each replicate draws a target from the family and noisy outputs on the
+    inputs, forms the conjugate posterior, and records the squared
+    deviation of the posterior-mean prediction from the target's value at
+    x. The spread term is exact (it depends only on the inputs); the
+    deviation term is averaged, with a standard error from batching.
     """
     if n_mc < 1000:
         raise ValueError("need at least 1e3 Monte-Carlo samples")
-    if inputs is None:
-        inputs = rng.uniform(lo, hi, n_train)
-    else:
-        inputs = np.asarray(inputs, dtype=float).reshape(-1)
-        if inputs.size != n_train:
-            raise ValueError("explicit inputs must have length n_train")
-    phi_full = design_matrix(inputs, family.order)
-    phi_hat = design_matrix(inputs, prior.degree)
-    phi_l = feature_map(x, family.order)
-    phi_p = feature_map(x, prior.degree)
-
-    post_cov, prior_precision = _posterior_cov(prior, phi_hat)
-    variance = float(phi_p @ post_cov @ phi_p)
-
-    # per-replicate posterior mean prediction, vectorized over replicates:
-    # phi_p . mu_p = base + v . y  with y = Phi w + eps
-    base = float(phi_p @ post_cov @ prior_precision @ prior.mean)
-    v = (phi_hat @ (post_cov @ phi_p)) / prior.noise_variance
+    inputs = np.asarray(inputs, dtype=float).reshape(-1)
+    variance, base, v = _affine_predictor(x, prior, inputs)
+    phi_full = design_matrix(inputs, family.degree)
+    phi_l = feature_map(x, family.degree)
     family_chol = np.linalg.cholesky(family.cov)
     sigma = math.sqrt(family.noise_variance)
 
-    batch_means = np.empty(n_batches)
-    per_batch = n_mc // n_batches
-    total = 0
-    for b in range(n_batches):
-        size = per_batch if b < n_batches - 1 else n_mc - per_batch * (n_batches - 1)
-        w = family.mean + rng.standard_normal((size, family.order + 1)) @ family_chol.T
-        y = w @ phi_full.T + sigma * rng.standard_normal((size, n_train))
-        preds = base + y @ v
-        f_x = w @ phi_l
-        batch_means[b] = np.mean((f_x - preds) ** 2)
-        total += size
+    batch_means = np.empty(_MC_BATCHES)
+    per_batch = n_mc // _MC_BATCHES
+    for b in range(_MC_BATCHES):
+        size = per_batch if b < _MC_BATCHES - 1 else n_mc - per_batch * (_MC_BATCHES - 1)
+        w = family.mean + rng.standard_normal((size, family.degree + 1)) @ family_chol.T
+        y = w @ phi_full.T + sigma * rng.standard_normal((size, inputs.size))
+        batch_means[b] = np.mean((w @ phi_l - (base + y @ v)) ** 2)
     bias = float(batch_means.mean())
-    se = float(batch_means.std(ddof=1) / math.sqrt(n_batches))
-    return DecompositionReport(
-        x=x, mse=bias + variance, bias=bias, variance=variance,
-        method="monte_carlo", sample_count=total, bias_standard_error=se,
-    )
+    se = float(batch_means.std(ddof=1) / math.sqrt(_MC_BATCHES))
+    return DecompositionReport(bias + variance, bias, variance, se)
 
 
 def fixed_target_concentration(
@@ -356,42 +258,15 @@ def fixed_target_concentration(
     coefficients = np.asarray(coefficients, dtype=float).reshape(-1)
     inputs = np.asarray(inputs, dtype=float).reshape(-1)
     order = coefficients.size - 1
-    phi_full = design_matrix(inputs, order)
-    phi_hat = design_matrix(inputs, prior.degree)
-    phi_p = feature_map(x, prior.degree)
+    variance, base, v = _affine_predictor(x, prior, inputs)
 
-    post_cov, prior_precision = _posterior_cov(prior, phi_hat)
-    variance = float(phi_p @ post_cov @ phi_p)
-    base = float(phi_p @ post_cov @ prior_precision @ prior.mean)
-    v = (phi_hat @ (post_cov @ phi_p)) / prior.noise_variance
-
-    clean = phi_full @ coefficients
+    clean = design_matrix(inputs, order) @ coefficients
     sigma = math.sqrt(prior.noise_variance)
     y = clean + sigma * rng.standard_normal((n_rep, inputs.size))
     preds = base + y @ v
     f_x = float(feature_map(x, order) @ coefficients)
     bias_sq = float((preds.mean() - f_x) ** 2)
     return bias_sq, variance
-
-
-def variance_proxy_gap(
-    x: float,
-    family: TargetFamily,
-    prior: BprPrior,
-    inputs,
-) -> float:
-    """|closed-form MSE - 2 * posterior quadratic form| at x.
-
-    Zero (to rounding) exactly when the model matches the family; strictly
-    positive at generic x for lower-order models.
-    """
-    inputs = np.asarray(inputs, dtype=float).reshape(-1)
-    phi_full = design_matrix(inputs, family.order)
-    phi_hat = design_matrix(inputs, prior.degree)
-    mse = closed_form_mse(x, family, prior, phi_full, phi_hat)
-    post_cov, _ = _posterior_cov(prior, phi_hat)
-    phi_p = feature_map(x, prior.degree)
-    return abs(mse - 2.0 * float(phi_p @ post_cov @ phi_p))
 
 
 @dataclass(frozen=True)
@@ -425,15 +300,13 @@ def bias_bound_check(
     ref_mean: float,
     ref_var: float,
     trunc: float,
-    grid_points: int = 20001,
-    mass_tol: float = 1e-6,
 ) -> BiasBoundReport:
     """Check (mean gap)^2 <= eps^2 C^2 for two Gaussian densities.
 
     eps is the supremum of |approx/ref - 1| over [-trunc, trunc] on a dense
     grid; the global supremum is infinite whenever the variances differ,
     so the domain must be truncated. Both densities must leave at most
-    ``mass_tol`` probability outside the truncated domain, otherwise the
+    1e-6 of their probability outside the truncated domain, otherwise the
     check is meaningless and a TruncationError is raised.
     """
     if approx_var <= 0 or ref_var <= 0:
@@ -442,12 +315,12 @@ def bias_bound_check(
         raise ValueError("trunc must be > 0")
     for mean, var, label in ((approx_mean, approx_var, "approx"), (ref_mean, ref_var, "ref")):
         mass = _normal_mass(mean, var, trunc)
-        if mass < 1.0 - mass_tol:
+        if mass < 1.0 - _MASS_TOL:
             raise TruncationError(
                 f"{label} density keeps only {mass:.8f} of its mass in "
                 f"[-{trunc}, {trunc}]; enlarge the truncation"
             )
-    ys = np.linspace(-trunc, trunc, grid_points)
+    ys = np.linspace(-trunc, trunc, _RATIO_GRID_POINTS)
     log_ratio = (
         -0.5 * ((ys - approx_mean) ** 2 / approx_var - (ys - ref_mean) ** 2 / ref_var)
         - 0.5 * math.log(approx_var / ref_var)

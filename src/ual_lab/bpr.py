@@ -66,18 +66,12 @@ class BprPrior:
 
 @dataclass(frozen=True)
 class BprPosterior:
-    """Gaussian coefficient posterior, with the data that produced it."""
+    """Gaussian coefficient posterior N(mean, cov) with known noise variance."""
 
     degree: int
     mean: np.ndarray
     cov: np.ndarray
     noise_variance: float
-    design: np.ndarray   # (n, p+1), retained for the analysis module
-    outputs: np.ndarray  # (n,)
-
-    def as_prior(self) -> BprPrior:
-        """Reinterpret this posterior as the prior for a further update."""
-        return BprPrior(self.degree, self.mean, self.cov, self.noise_variance)
 
 
 def default_prior(degree: int, noise_variance: float = 1.0) -> BprPrior:
@@ -101,10 +95,8 @@ def posterior_update(prior: BprPrior, xs, ys) -> BprPosterior:
         raise ValueError("xs and ys must have equal length")
     phi = design_matrix(xs, prior.degree)
     if xs.size == 0:
-        return BprPosterior(
-            prior.degree, prior.mean.copy(), prior.cov.copy(),
-            prior.noise_variance, phi, ys,
-        )
+        return BprPosterior(prior.degree, prior.mean.copy(), prior.cov.copy(),
+                            prior.noise_variance)
     prior_precision = spd_inverse(prior.cov)
     precision = prior_precision + (phi.T @ phi) / prior.noise_variance
     lower = chol_spd(precision)
@@ -112,7 +104,7 @@ def posterior_update(prior: BprPrior, xs, ys) -> BprPosterior:
     cov = 0.5 * (cov + cov.T)
     rhs = prior_precision @ prior.mean + (phi.T @ ys) / prior.noise_variance
     mean = chol_solve_vec(lower, rhs)
-    return BprPosterior(prior.degree, mean, cov, prior.noise_variance, phi, ys)
+    return BprPosterior(prior.degree, mean, cov, prior.noise_variance)
 
 
 def predictive_batch(post: BprPosterior, xs) -> tuple[np.ndarray, np.ndarray]:

@@ -303,9 +303,13 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("config: expected an object")
     cfg = _read_kind(EXPERIMENT, raw, "", default="al_curves")
     dataset = isinstance(cfg.target, DatasetTargetSpec)
-    if dataset and any(m.kind == "bpr" for m in cfg.models):
+    bpr = any(m.kind == "bpr" for m in cfg.models)
+    if dataset and bpr:
         raise ConfigError("models: polynomial models are univariate; dataset targets "
                           "must use gpr models")
+    if not dataset and bpr and cfg.target.noise_variance == 0:
+        # a bpr model takes the target's noise variance as its own
+        raise ConfigError("target.noise_variance: must be > 0 for bpr models")
     if cfg.kind == "discrepancy":
         # with the rule above, this also keeps dataset targets out
         if any(m.kind != "bpr" for m in cfg.models):

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .alloop import BprLearner, GprLearner, RunTrace, SyntheticOracle, TableOracle, run_al
-from .analysis import TargetFamily, variance_proxy_gap
+from .analysis import variance_proxy_gap
 from .bpr import default_prior
 from .config import (
     DatasetTargetSpec,
@@ -153,6 +153,9 @@ def _seed_runs(cfg: ExperimentConfig, seed: int,
             try:
                 trace = run_al(learner, strategy, oracle, init, pool, test, cfg.budget,
                                derive_rng(cfg.master_seed, seed, 4, mi, si))
+            except UalLabError as exc:
+                # keep the class, so the CLI reports it as a library error
+                raise type(exc)(f"run failed at {key}: {exc}") from exc
             except Exception as exc:
                 raise RuntimeError(f"run failed at {key}: {exc}") from exc
             out.append((key, trace))
@@ -164,15 +167,12 @@ def _seed_discrepancy(cfg: ExperimentConfig, seed: int) -> np.ndarray:
     t = cfg.target
     rng = derive_rng(cfg.master_seed, seed, 0)
     inputs = rng.uniform(cfg.grid.lo, cfg.grid.hi, cfg.n_train)
-    family = TargetFamily(t.order, np.zeros(t.order + 1), np.eye(t.order + 1),
-                          t.noise_variance)
+    family = default_prior(t.order, t.noise_variance)
     xs = np.linspace(cfg.grid.lo, cfg.grid.hi, cfg.grid.n)
-    gaps = np.empty((len(cfg.models), cfg.grid.n))
-    for mi, model_spec in enumerate(cfg.models):
-        prior = default_prior(model_spec.degree, t.noise_variance)
-        for xi, x in enumerate(xs):
-            gaps[mi, xi] = variance_proxy_gap(float(x), family, prior, inputs)
-    return gaps
+    return np.array([
+        variance_proxy_gap(xs, family, default_prior(m.degree, t.noise_variance), inputs)
+        for m in cfg.models
+    ])
 
 
 def _seed_worker(args):
@@ -263,9 +263,7 @@ def emit(results: AggregateResults, out_dir: str | Path, cfg: ExperimentConfig,
         ]
         svg_path = out / "discrepancy.svg"
         _write_text(svg_path, line_chart(
-            f"{cfg.experiment_id}: variance-proxy gap", "x", "|MSE - 2*spread|",
-            series, log_y=True,
-        ))
+            f"{cfg.experiment_id}: variance-proxy gap", "x", "|MSE - 2*spread|", series))
         written.append(svg_path)
     else:
         trace_lines = [TRACES_HEADER]
@@ -312,9 +310,7 @@ def emit(results: AggregateResults, out_dir: str | Path, cfg: ExperimentConfig,
                 ))
             svg_path = out / f"curves_{model_id}.svg"
             _write_text(svg_path, line_chart(
-                f"{cfg.experiment_id}: {model_id}", "acquisitions",
-                "mean test MSE", series, log_y=True,
-            ))
+                f"{cfg.experiment_id}: {model_id}", "acquisitions", "mean test MSE", series))
             written.append(svg_path)
 
     meta = {

@@ -188,14 +188,8 @@ def log_marginal_likelihood(model: GpModel) -> float:
     )
 
 
-def fit_lengthscale_grid(
-    spec: KernelSpec,
-    xs,
-    ys,
-    noise_variance: float,
-    grid=LENGTHSCALE_GRID,
-) -> GpModel:
-    """Fit once per grid lengthscale and keep the highest-evidence model.
+def fit_lengthscale_grid(spec: KernelSpec, xs, ys, noise_variance: float) -> GpModel:
+    """Fit once per ``LENGTHSCALE_GRID`` value and keep the highest-evidence model.
 
     Linear kernels have no lengthscale and fall through to a plain fit.
     """
@@ -203,7 +197,7 @@ def fit_lengthscale_grid(
         return gp_fit(spec, xs, ys, noise_variance)
     best = None
     best_ll = -math.inf
-    for ls in grid:
+    for ls in LENGTHSCALE_GRID:
         model = gp_fit(replace(spec, lengthscale=ls), xs, ys, noise_variance)
         ll = log_marginal_likelihood(model)
         if ll > best_ll:

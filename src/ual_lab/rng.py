@@ -11,12 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["derive_rng", "derive_seed_sequence"]
-
-
-def derive_seed_sequence(master_seed: int, *path: int) -> np.random.SeedSequence:
-    """Seed sequence for a fixed derivation path under ``master_seed``."""
-    return np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(path))
+__all__ = ["derive_rng"]
 
 
 def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
@@ -26,4 +21,5 @@ def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     statistically independent and reproducible regardless of creation or
     consumption order.
     """
-    return np.random.Generator(np.random.Philox(derive_seed_sequence(master_seed, *path)))
+    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(path))
+    return np.random.Generator(np.random.Philox(seq))

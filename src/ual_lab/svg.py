@@ -17,6 +17,7 @@ __all__ = ["Series", "line_chart"]
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _FLOOR = 1e-12  # log-scale guard for near-zero error values
+_WIDTH, _HEIGHT = 640, 420
 
 
 @dataclass(frozen=True)
@@ -33,19 +34,16 @@ def line_chart(
     x_label: str,
     y_label: str,
     series: Sequence[Series],
-    log_y: bool = True,
-    width: int = 640,
-    height: int = 420,
 ) -> str:
-    """Render series as an SVG document string."""
+    """Render series as an SVG document string, with a log y axis."""
     if not series:
         raise ValueError("need at least one series")
     margin_l, margin_r, margin_t, margin_b = 64, 16, 36, 46
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
+    plot_w = _WIDTH - margin_l - margin_r
+    plot_h = _HEIGHT - margin_t - margin_b
 
     def ty(v: float) -> float:
-        return math.log10(max(v, _FLOOR)) if log_y else v
+        return math.log10(max(v, _FLOOR))
 
     xs_all = [x for s in series for x in s.xs]
     ys_all = [ty(y) for s in series for y in s.ys]
@@ -70,9 +68,9 @@ def line_chart(
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
-        f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+        f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{escape(title)}</text>',
     ]
     # frame
@@ -80,17 +78,8 @@ def line_chart(
         f'<rect x="{margin_l}" y="{margin_t}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#333333" stroke-width="1"/>'
     )
-    # y ticks: decades when log, five even steps otherwise
-    if log_y:
-        lo_dec = math.floor(y_min)
-        hi_dec = math.ceil(y_max)
-        tick_vals = [(d, f"1e{d}") for d in range(lo_dec, hi_dec + 1)]
-    else:
-        tick_vals = [
-            (y_min + i * (y_max - y_min) / 5.0, f"{y_min + i * (y_max - y_min) / 5.0:.3g}")
-            for i in range(6)
-        ]
-    for val, label in tick_vals:
+    # y ticks: one per decade
+    for val in range(math.floor(y_min), math.ceil(y_max) + 1):
         if not y_min <= val <= y_max:
             continue
         y_pix = margin_t + (y_max - val) / (y_max - y_min) * plot_h
@@ -100,7 +89,7 @@ def line_chart(
         )
         parts.append(
             f'<text x="{margin_l - 8}" y="{y_pix + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="10">{escape(label)}</text>'
+            f'font-family="sans-serif" font-size="10">1e{val}</text>'
         )
     # x ticks: five even steps
     for i in range(6):
@@ -115,7 +104,7 @@ def line_chart(
             f'font-family="sans-serif" font-size="10">{x_val:.3g}</text>'
         )
     parts.append(
-        f'<text x="{margin_l + plot_w / 2:.1f}" y="{height - 10}" text-anchor="middle" '
+        f'<text x="{margin_l + plot_w / 2:.1f}" y="{_HEIGHT - 10}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12">{escape(x_label)}</text>'
     )
     parts.append(

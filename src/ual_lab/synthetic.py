@@ -23,7 +23,6 @@ __all__ = [
     "TestSet",
     "sample_target",
     "eval_target",
-    "observe",
     "build_pool",
     "build_test_set",
     "gradient_bound",
@@ -183,15 +182,6 @@ def eval_target(target: GroundTruthTarget, x) -> np.ndarray | float:
             2.0 * math.pi * target.cosine_frequency * x_arr
         )
     return float(value) if np.isscalar(x) or x_arr.ndim == 0 else value
-
-
-def observe(target: GroundTruthTarget, x, rng: np.random.Generator):
-    """One noisy observation y = f(x) + eps per input."""
-    clean = eval_target(target, x)
-    sigma = math.sqrt(target.noise_variance)
-    if np.isscalar(clean):
-        return clean + sigma * rng.standard_normal()
-    return clean + sigma * rng.standard_normal(np.shape(clean))
 
 
 def build_pool(n: int, lo: float, hi: float) -> UnlabeledPool:

@@ -6,7 +6,11 @@ paired-run experiments are shared through module-scoped fixtures.
 
 Known red (see the repository README): the direct-MSE clause of
 criterion 9 is asserted as stated rather than loosened; the strategy sits
-a few percent above random at the step-50 checkpoint.
+a few percent above random at the step-50 checkpoint. The fixed GP
+surrogate loses to random, not the missing exploration term: on the fig10
+shape with master seeds 1 and 2 (40 seeds each), direct - random at step
+50 was +0.058 and +0.092 with the GP surrogate, and -0.097 (se 0.039) and
+-0.032 (se 0.013) with the noiseless true target as the surrogate.
 """
 
 import time
@@ -16,8 +20,6 @@ import numpy as np
 import pytest
 
 from ual_lab.analysis import (
-    LowerOrderPartition,
-    TargetFamily,
     bias_bound_check,
     closed_form_mse,
     fixed_target_concentration,
@@ -136,16 +138,13 @@ def test_criterion_1_matched_identity():
     for trial in range(20):
         cov = _random_spd(rng, 4)
         mu = rng.standard_normal(4)
-        fam = TargetFamily(3, mu, cov, 1.0)
-        prior = BprPrior(3, mu, cov, 1.0)
+        prior = BprPrior(3, mu, cov, 1.0)  # matched: the family itself
         n = (0, 5, 20, 100)[trial % 4]
         xs = rng.uniform(-2, 2, n)
-        phi = design_matrix(xs, 3)
         post = posterior_update(prior, xs, rng.standard_normal(n))
-        for x in GRID:
-            general = closed_form_mse(float(x), fam, prior, phi, phi)
-            gap = abs(general - matched_mse(float(x), post)) / (1.0 + abs(general))
-            worst = max(worst, gap)
+        general = closed_form_mse(GRID, prior, prior, xs)
+        gap = np.abs(general - matched_mse(GRID, post)) / (1.0 + np.abs(general))
+        worst = max(worst, float(gap.max()))
     elapsed = time.perf_counter() - start
     line = _report(1, worst < 1e-8, f"matched identity, worst rel gap {worst:.2e}",
                    elapsed, 5.0)
@@ -159,16 +158,13 @@ def test_criterion_2_lower_order_identity():
     worst = 0.0
     for trial in range(20):
         cov = _random_spd(rng, 4)
-        fam = TargetFamily(3, rng.standard_normal(4), cov, 1.0)
+        fam = BprPrior(3, rng.standard_normal(4), cov, 1.0)
         p = (1, 2)[trial % 2]
         xs = rng.uniform(-2, 2, int(rng.integers(5, 25)))
-        part = LowerOrderPartition.from_family(fam, xs, p)
-        prior = BprPrior(p, part.mean_head, part.cov_head, 1.0)
-        phi = design_matrix(xs, 3)
-        for x in GRID:
-            general = closed_form_mse(float(x), fam, prior, phi, part.design_head)
-            total, _, _ = lower_order_mse(float(x), part, prior, 1.0)
-            worst = max(worst, abs(general - total) / (1.0 + abs(general)))
+        prior = BprPrior(p, fam.mean[: p + 1], fam.cov[: p + 1, : p + 1], 1.0)  # head blocks
+        general = closed_form_mse(GRID, fam, prior, xs)
+        total, _, _ = lower_order_mse(GRID, fam, prior, xs)
+        worst = max(worst, float((np.abs(general - total) / (1.0 + np.abs(general))).max()))
     elapsed = time.perf_counter() - start
     line = _report(2, worst < 1e-8, f"lower-order identity, worst rel gap {worst:.2e}",
                    elapsed, 5.0)
@@ -183,14 +179,12 @@ def test_criterion_3_closed_form_vs_monte_carlo():
     for trial in range(10):
         p = 1 + trial % 5
         n = (0, 5, 20)[trial % 3]
-        fam = TargetFamily(3, np.zeros(4), np.eye(4), 1.0)
+        fam = default_prior(3, 1.0)
         prior = default_prior(p, 1.0)
         x = float(rng.uniform(-2, 2))
         inputs = rng.uniform(-2, 2, n)
-        rep = mc_bias_variance(x, fam, prior, n, 100_000, derive_rng(103, 1, trial),
-                               inputs=inputs)
-        cf = closed_form_mse(x, fam, prior, design_matrix(inputs, 3),
-                             design_matrix(inputs, p))
+        rep = mc_bias_variance(x, fam, prior, inputs, 100_000, derive_rng(103, 1, trial))
+        cf = closed_form_mse([x], fam, prior, inputs)[0]
         z = abs(cf - rep.mse) / rep.bias_standard_error
         worst_z = max(worst_z, z)
     elapsed = time.perf_counter() - start
@@ -279,13 +273,9 @@ def test_criterion_6_early_stage_at_step_10(bpr_scaled):
 def test_criterion_7_variance_proxy_gap_separation():
     start = time.perf_counter()
     rng = derive_rng(107, 0)
-    fam = TargetFamily(3, np.zeros(4), np.eye(4), 1.0)
+    fam = default_prior(3, 1.0)
     inputs = rng.uniform(-2, 2, 20)
-    gaps = {}
-    for p in (1, 2, 3):
-        prior = BprPrior(p, np.zeros(p + 1), np.eye(p + 1), 1.0)
-        gaps[p] = np.array([variance_proxy_gap(float(x), fam, prior, inputs)
-                            for x in GRID])
+    gaps = {p: variance_proxy_gap(GRID, fam, default_prior(p, 1.0), inputs) for p in (1, 2, 3)}
     matched_max = gaps[3].max()
     matched_mean = max(gaps[3].mean(), 1e-300)
     ok = (matched_max < 1e-8

@@ -53,8 +53,10 @@ class TestPosteriorUpdate:
             xs = rng.uniform(-2, 2, 2)
             ys = rng.standard_normal(2)
             batch = posterior_update(prior, xs, ys)
+            first = posterior_update(prior, xs[:1], ys[:1])
             sequential = posterior_update(
-                posterior_update(prior, xs[:1], ys[:1]).as_prior(), xs[1:], ys[1:]
+                BprPrior(first.degree, first.mean, first.cov, first.noise_variance),
+                xs[1:], ys[1:],
             )
             np.testing.assert_allclose(sequential.mean, batch.mean, rtol=1e-9)
             np.testing.assert_allclose(sequential.cov, batch.cov, rtol=1e-9)

@@ -81,6 +81,8 @@ class TestParseConfig:
         pytest.param({"strategies": [{"kind": ["variance"]}]}, "strategies[0].kind:",
                      id="strategy-kind-unhashable"),
         pytest.param({"test": {"n": 4, "lo": 2.0, "hi": -2.0}}, "test:", id="empty-span"),
+        pytest.param({"target": {"kind": "synthetic", "order": 3, "noise_variance": 0}},
+                     "target.noise_variance:", id="bpr-noiseless-target"),
     ])
     def test_malformed_config_names_key(self, overrides, key_path):
         with pytest.raises(ConfigError) as info:
@@ -301,6 +303,19 @@ class TestCli:
                      flag, "-1"]) == 2
         assert capsys.readouterr().err.startswith(f"error: {key}: must be >=")
         assert not (tmp_path / "o").exists()
+
+    def test_numerical_error_in_a_run_exits_2(self, tmp_path, capsys):
+        # a noiseless target gives the GP surrogate a zero pivot within 30 labels
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_small_config(
+            n_seeds=1, budget=30, pool={"n": 200, "lo": -2.0, "hi": 2.0},
+            target={"kind": "synthetic", "order": 3, "noise_variance": 0},
+            models=[{"kind": "gpr", "kernel": {"kind": "rbf"}}],
+            strategies=[{"kind": "direct_mse"}])))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: run failed at RunKey(")
+        assert "GP append" in err
 
     def test_missing_dataset_file_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)  # the shipped relative data path does not exist here

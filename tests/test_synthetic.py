@@ -10,7 +10,6 @@ from ual_lab.synthetic import (
     build_test_set,
     eval_target,
     gradient_bound,
-    observe,
     sample_target,
 )
 
@@ -61,23 +60,6 @@ class TestEvalTarget:
         xs = np.linspace(-2, 2, 9)
         batch = eval_target(t, xs)
         np.testing.assert_allclose(batch, [eval_target(t, float(x)) for x in xs], atol=1e-14)
-
-
-class TestObserve:
-    def test_noiseless_equals_eval(self):
-        t = GroundTruthTarget(PURE_POLYNOMIAL, 1, [0.5, 2.0], noise_variance=0.0)
-        assert observe(t, 1.5, derive_rng(5, 0)) == eval_target(t, 1.5)
-
-    def test_seeded_reproducibility(self):
-        t = GroundTruthTarget(PURE_POLYNOMIAL, 1, [0.5, 2.0], noise_variance=1.0)
-        assert observe(t, 0.3, derive_rng(6, 0)) == observe(t, 0.3, derive_rng(6, 0))
-
-    def test_noise_variance_calibration(self):
-        # sample variance of 1e5 draws: 3-sigma band is ~0.0134, spec asks 0.02
-        t = GroundTruthTarget(PURE_POLYNOMIAL, 0, [0.0], noise_variance=1.0)
-        draws = observe(t, np.zeros(100_000), derive_rng(7, 0))
-        assert abs(np.var(draws) - 1.0) < 0.02
-        assert abs(np.var(draws) - 1.0) < 3.0 * np.sqrt(2.0 / (draws.size - 1))
 
 
 class TestBuildPool:
