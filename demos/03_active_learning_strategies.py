@@ -14,7 +14,6 @@ from ual_lab.rng import derive_rng
 from ual_lab.svg import Series, line_chart
 from ual_lab.synthetic import (
     POLYNOMIAL_PLUS_COSINE,
-    LabeledSet,
     build_pool,
     build_test_set,
     gradient_bound,
@@ -38,13 +37,10 @@ for seed in range(SEEDS):
     oracle = SyntheticOracle(target, 99, (seed, 1))
     init_idx = int(derive_rng(99, seed, 2).integers(200))
     test = build_test_set(500, -2, 2, target, derive_rng(99, seed, 3))
-    x0 = pool.candidates[init_idx]
-    init = LabeledSet(x0[None, :], [oracle.label(init_idx, x0)])
-    active_pool = pool.deactivated(init_idx)
     strategies["upper_bound"] = StrategySpec(
         "upper_bound", gradient_bound=gradient_bound(target, -2, 2))
     for si, (name, spec) in enumerate(strategies.items()):
-        trace = run_al(BprLearner(1, 1.0), spec, oracle, init, active_pool, test,
+        trace = run_al(BprLearner(1, 1.0), spec, oracle, pool, init_idx, test,
                        BUDGET, derive_rng(99, seed, 4, 0, si))
         curves[name].append([r.test_mse for r in trace.records])
 

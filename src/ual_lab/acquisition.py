@@ -3,6 +3,7 @@
 Four strategies: predictive-variance, uniform random, squared discrepancy
 against a surrogate GP fit on the labeled data, and a high-probability
 error upper bound (GP credible width plus a Lipschitz fill-distance term).
+Selection works on the indices of the still-unlabeled pool candidates.
 Ties always break to the lowest candidate index so selections are
 reproducible across platforms.
 """
@@ -17,7 +18,6 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .gpr import GpModel, KernelSpec, gp_predict_batch
-from .synthetic import UnlabeledPool
 
 __all__ = [
     "VARIANCE",
@@ -82,9 +82,9 @@ def score_variance(model, xs) -> np.ndarray:
     return variances
 
 
-def score_random(rng: np.random.Generator, pool: UnlabeledPool) -> int:
-    """Uniform draw over the active candidates."""
-    active = pool.active_indices()
+def score_random(rng: np.random.Generator, active) -> int:
+    """Uniform draw over the active candidate indices."""
+    active = np.asarray(active)
     if active.size == 0:
         raise ValueError("no active candidates to choose from")
     return int(active[rng.integers(active.size)])
@@ -127,9 +127,12 @@ def score_upper_bound(
     return (bound + np.abs(g_means - f_means)) ** 2 + surrogate.noise_variance
 
 
-def select(pool: UnlabeledPool, scores) -> int:
-    """Argmax over active candidates; ties break to the lowest index."""
-    active = pool.active_indices()
+def select(active, scores) -> int:
+    """The active candidate index with the highest score; ties break to the lowest.
+
+    ``scores[i]`` scores candidate ``active[i]``; ``active`` is ascending.
+    """
+    active = np.asarray(active)
     scores = np.asarray(scores, dtype=float)
     if active.size == 0:
         raise ValueError("no active candidates to select from")

@@ -1,12 +1,13 @@
 """Pool-based active learning driver.
 
-One run: fit on the initial labeled set, record step 0, then repeatedly
-score the pool, query the winner's label, refit the learner from scratch,
-and record the test error. Learner refits are always on the full labeled
-set, so the final model depends only on which points were acquired, not
-in what order. The surrogate GP of ``direct_mse`` and ``upper_bound`` is
-fit once on the initial labeled set and extended by one Cholesky row per
-label (:func:`gpr.gp_append`).
+One run works on indices into one candidate array: label the initial
+candidate, fit, record step 0, then repeatedly score the still-unlabeled
+candidates, query the winner's label, refit the learner from scratch, and
+record the test error. Learner refits are always on the full labeled set,
+so the final model depends only on which points were acquired, not in
+what order. The surrogate GP of ``direct_mse`` and ``upper_bound`` is fit
+once on the initial point and extended by one Cholesky row per label
+(:func:`gpr.gp_append`).
 Both learners return a :class:`FittedModel`, the one type the loop and
 the acquisition scores predict through.
 """
@@ -29,7 +30,7 @@ from .gpr import (
     gp_predict_batch,
 )
 from .rng import derive_rng
-from .synthetic import GroundTruthTarget, LabeledSet, TestSet, UnlabeledPool, eval_target
+from .synthetic import GroundTruthTarget, TestSet, eval_target
 
 __all__ = [
     "StepRecord",
@@ -152,59 +153,67 @@ def run_al(
     learner,
     strategy: acq.StrategySpec,
     oracle: LabelOracle,
-    init_labeled: LabeledSet,
-    pool: UnlabeledPool,
+    candidates: np.ndarray,
+    init_index: int,
     test: TestSet,
     budget: int,
     rng: np.random.Generator,
 ) -> RunTrace:
-    """Run ``budget`` acquisitions and return the full per-step trace.
+    """Run ``budget`` acquisitions from ``candidates[init_index]`` and return the trace.
 
-    Step 0 records the model fit on the initial labeled set alone. Each
-    step records the test MSE split into bias and variance against the
-    noiseless targets when the test set has them (synthetic targets), and
-    the MSE against the observed targets otherwise (real datasets). The
-    rng is consumed only by the random strategy, so selection and model
-    are fully decoupled for the baselines.
+    ``candidates`` is the (n, d) pool; every labeled point, the initial one
+    included, is one of its rows, labeled by ``oracle`` on its index. Step 0
+    records the model fit on the initial point alone. Each step records the
+    test MSE split into bias and variance against the noiseless targets
+    when the test set has them (synthetic targets), and the MSE against the
+    observed targets otherwise (real datasets). The rng is consumed only by
+    the random strategy, so selection and model are fully decoupled for the
+    baselines.
     """
-    if len(init_labeled) == 0:
-        raise ValueError("need at least one initial labeled point")
-    if budget > pool.n_active:
-        raise ValueError(f"budget {budget} exceeds the {pool.n_active} active candidates")
+    n = candidates.shape[0]
+    if not 0 <= init_index < n:
+        raise ValueError(f"init_index {init_index} is not one of the {n} candidates")
+    if budget > n - 1:
+        raise ValueError(f"budget {budget} exceeds the {n - 1} candidates left "
+                         "after the initial one")
     if isinstance(strategy.gradient_bound, str):
         raise ValueError("gradient_bound must be resolved to a number before running")
 
-    labeled = init_labeled
-    model = learner.fit(labeled.inputs, labeled.outputs)
+    labeled = [init_index]
+    outputs = [oracle.label(init_index, candidates[init_index])]
+    active = np.ones(n, dtype=bool)
+    active[init_index] = False
+    model = learner.fit(candidates[labeled], np.array(outputs))
     records = [_record(0, model, test, None)]
     surrogate = None
     if strategy.kind in (acq.DIRECT_MSE, acq.UPPER_BOUND):
-        surrogate = gp_fit(strategy.surrogate_kernel, labeled.inputs, labeled.outputs,
+        surrogate = gp_fit(strategy.surrogate_kernel, candidates[labeled], outputs,
                            model.noise_variance)
 
     for step in range(1, budget + 1):
+        indices = np.flatnonzero(active)
         if strategy.kind == acq.RANDOM:
-            chosen = acq.score_random(rng, pool)
+            chosen = acq.score_random(rng, indices)
         else:
-            candidates = pool.candidates[pool.active]
+            xs = candidates[indices]
             if strategy.kind == acq.VARIANCE:
-                scores = acq.score_variance(model, candidates)
+                scores = acq.score_variance(model, xs)
             elif strategy.kind == acq.DIRECT_MSE:
-                scores = acq.score_direct_mse(surrogate, model, candidates)
+                scores = acq.score_direct_mse(surrogate, model, xs)
             else:
                 scores = acq.score_upper_bound(
-                    surrogate, model, candidates, labeled.inputs,
-                    strategy.gradient_bound, strategy.confidence,
-                    pool_size=candidates.shape[0],
+                    surrogate, model, xs, candidates[labeled],
+                    strategy.gradient_bound, strategy.confidence, pool_size=indices.size,
                 )
-            chosen = acq.select(pool, scores)
-        x = pool.candidates[chosen]
+            chosen = acq.select(indices, scores)
+        x = candidates[chosen]
         y = oracle.label(chosen, x)
-        labeled = labeled.appended(x, y)
-        pool = pool.deactivated(chosen)
+        labeled.append(chosen)
+        outputs.append(y)
+        active[chosen] = False
         if surrogate is not None:
             surrogate = gp_append(surrogate, x, y)
-        model = learner.fit(labeled.inputs, labeled.outputs)
+        model = learner.fit(candidates[labeled], np.array(outputs))
         records.append(_record(step, model, test, x))
     return RunTrace(tuple(records))
 

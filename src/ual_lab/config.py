@@ -58,7 +58,7 @@ class Span:
     n: int
     lo: float
     hi: float
-    layout: Optional[str] = None  # None for a pool, whose candidates are evenly spaced
+    layout: Optional[str] = None  # set for a grid only
 
     def __post_init__(self):
         if not self.lo < self.hi:
@@ -258,8 +258,7 @@ STRATEGY = {
 
 _ENDS = {"lo": (float, REQUIRED, None), "hi": (float, REQUIRED, None)}
 POOL = Section(Span, {"n": (int, REQUIRED, _at_least(2)), **_ENDS})
-TEST = Section(Span, {"n": (int, REQUIRED, _at_least(1)), **_ENDS,
-                      "layout": (str, "random", _one_of("random", "grid"))})
+TEST = Section(Span, {"n": (int, REQUIRED, _at_least(1)), **_ENDS})
 # the closed-form gap is evaluated on an even grid, the only layout
 GRID = Section(Span, {"n": (int, REQUIRED, _at_least(1)), **_ENDS,
                       "layout": (str, "grid", _one_of("grid"))})

@@ -180,10 +180,14 @@ def split(
     indices = np.arange(n)
     if subsample is not None:
         if subsample > n:
-            raise ValueError(f"subsample {subsample} exceeds dataset size {n}")
+            raise DataError(f"subsample {subsample} exceeds the dataset's {n} rows")
         indices = rng.choice(n, size=subsample, replace=False)
     perm = indices[rng.permutation(indices.size)]
     n_test = int(round(perm.size * test_fraction))
+    if not 0 < n_test < perm.size:
+        side = "test" if n_test == 0 else "train"
+        raise DataError(f"test_fraction {test_fraction} of {perm.size} rows leaves an "
+                        f"empty {side} partition ({n_test} test, {perm.size - n_test} train)")
     test_idx = np.sort(perm[:n_test])
     train_idx = np.sort(perm[n_test:])
 

@@ -44,15 +44,7 @@ from .datasets import TabularDataset, apply_standardizer, fit_standardizer, load
 from .errors import ConfigError, UalLabError
 from .rng import derive_rng
 from .svg import Series, line_chart
-from .synthetic import (
-    LabeledSet,
-    TestSet,
-    UnlabeledPool,
-    build_pool,
-    build_test_set,
-    gradient_bound,
-    sample_target,
-)
+from .synthetic import TestSet, build_pool, build_test_set, gradient_bound, sample_target
 
 __all__ = [
     "AggregateResults",
@@ -100,17 +92,17 @@ def _synthetic_setup(cfg: ExperimentConfig, seed: int, data: None):
         noise_variance=t.noise_variance, cosine_amplitude=t.cosine_amplitude,
         cosine_frequency=t.cosine_frequency,
     )
-    pool = build_pool(cfg.pool.n, cfg.pool.lo, cfg.pool.hi)
+    candidates = build_pool(cfg.pool.n, cfg.pool.lo, cfg.pool.hi)
     oracle = SyntheticOracle(target, cfg.master_seed, (seed, 1))
     init_index = int(derive_rng(cfg.master_seed, seed, 2).integers(cfg.pool.n))
     test = build_test_set(cfg.test.n, cfg.test.lo, cfg.test.hi, target,
-                          derive_rng(cfg.master_seed, seed, 3), cfg.test.layout)
+                          derive_rng(cfg.master_seed, seed, 3))
     strategies = tuple(
         replace(s, gradient_bound=gradient_bound(target, cfg.pool.lo, cfg.pool.hi))
         if s.gradient_bound == "auto" else s
         for s in cfg.strategies
     )
-    return pool, oracle, init_index, test, t.noise_variance, strategies
+    return candidates, oracle, init_index, test, t.noise_variance, strategies
 
 
 def _dataset_setup(cfg: ExperimentConfig, seed: int, data: TabularDataset):
@@ -124,26 +116,23 @@ def _dataset_setup(cfg: ExperimentConfig, seed: int, data: TabularDataset):
         raise ConfigError(
             f"budget: {cfg.budget} exceeds train split capacity {len(train)} - 1"
         )
-    pool = UnlabeledPool(train.features, np.ones(len(train), dtype=bool))
     init_index = int(derive_rng(cfg.master_seed, seed, 2).integers(len(train)))
     test = TestSet(test_part.features, test_part.targets, None)
-    return (pool, TableOracle(train.targets), init_index, test, t.model_noise_variance,
-            cfg.strategies)
+    return (train.features, TableOracle(train.targets), init_index, test,
+            t.model_noise_variance, cfg.strategies)
 
 
 def _seed_runs(cfg: ExperimentConfig, seed: int,
                data: Optional[TabularDataset]) -> list[tuple[RunKey, RunTrace]]:
-    """Every (model, strategy) run of one seed, all from one initial labeled point.
+    """Every (model, strategy) run of one seed, all from one initial candidate.
 
-    The per-target setup gives the candidate pool, its label oracle, the
-    index of the initial labeled candidate, the test set, the models' noise
-    variance, and the strategies with every bound resolved.
+    The per-target setup gives the (n, d) candidate array, its label oracle,
+    the index of the initial candidate, the test set, the models' noise
+    variance, and the strategies with every bound resolved. The oracle is a
+    pure function of the index, so every run sees the same initial label.
     """
     setup = _dataset_setup if isinstance(cfg.target, DatasetTargetSpec) else _synthetic_setup
-    pool, oracle, init_index, test, noise_variance, strategies = setup(cfg, seed, data)
-    init_x = pool.candidates[init_index]
-    init = LabeledSet(init_x[None, :], [oracle.label(init_index, init_x)])
-    pool = pool.deactivated(init_index)
+    candidates, oracle, init_index, test, noise_variance, strategies = setup(cfg, seed, data)
 
     out = []
     for mi, model_spec in enumerate(cfg.models):
@@ -151,8 +140,8 @@ def _seed_runs(cfg: ExperimentConfig, seed: int,
             learner = _make_learner(model_spec, noise_variance)
             key = RunKey(seed, model_spec.model_id, strategy.kind)
             try:
-                trace = run_al(learner, strategy, oracle, init, pool, test, cfg.budget,
-                               derive_rng(cfg.master_seed, seed, 4, mi, si))
+                trace = run_al(learner, strategy, oracle, candidates, init_index, test,
+                               cfg.budget, derive_rng(cfg.master_seed, seed, 4, mi, si))
             except UalLabError as exc:
                 # keep the class, so the CLI reports it as a library error
                 raise type(exc)(f"run failed at {key}: {exc}") from exc

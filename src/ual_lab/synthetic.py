@@ -18,8 +18,6 @@ __all__ = [
     "PURE_POLYNOMIAL",
     "POLYNOMIAL_PLUS_COSINE",
     "GroundTruthTarget",
-    "LabeledSet",
-    "UnlabeledPool",
     "TestSet",
     "sample_target",
     "eval_target",
@@ -62,64 +60,6 @@ class GroundTruthTarget:
             raise ValueError("noise_variance must be >= 0")
         if self.kind == PURE_POLYNOMIAL and self.cosine_amplitude != 0.0:
             raise ValueError("pure-polynomial targets must have cosine_amplitude 0")
-
-
-@dataclass(frozen=True)
-class LabeledSet:
-    """Paired inputs and observed outputs."""
-
-    inputs: np.ndarray   # (n, d)
-    outputs: np.ndarray  # (n,)
-
-    def __post_init__(self):
-        inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
-        outputs = np.asarray(self.outputs, dtype=float)
-        if inputs.shape[0] != outputs.shape[0]:
-            raise ValueError("inputs and outputs must have equal length")
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "outputs", outputs)
-
-    def __len__(self) -> int:
-        return self.inputs.shape[0]
-
-    def appended(self, x: np.ndarray, y: float) -> "LabeledSet":
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return LabeledSet(
-            np.vstack([self.inputs, x[None, :]]) if len(self) else x[None, :],
-            np.append(self.outputs, y),
-        )
-
-
-@dataclass(frozen=True)
-class UnlabeledPool:
-    """Candidate inputs with an activity mask; deactivation is one-way."""
-
-    candidates: np.ndarray  # (n, d)
-    active: np.ndarray      # (n,) bool
-
-    def __post_init__(self):
-        candidates = np.asarray(self.candidates, dtype=float)
-        if candidates.ndim == 1:
-            candidates = candidates[:, None]
-        active = np.asarray(self.active, dtype=bool)
-        if candidates.shape[0] != active.shape[0]:
-            raise ValueError("candidates and active mask must have equal length")
-        object.__setattr__(self, "candidates", candidates)
-        object.__setattr__(self, "active", active)
-
-    @property
-    def n_active(self) -> int:
-        return int(self.active.sum())
-
-    def active_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.active)
-
-    def deactivated(self, index: int) -> "UnlabeledPool":
-        if not self.active[index]:
-            raise ValueError(f"candidate {index} is already inactive")
-        mask = self.active.copy()
-        mask[index] = False
-        return UnlabeledPool(self.candidates, mask)
 
 
 @dataclass(frozen=True)
@@ -184,14 +124,13 @@ def eval_target(target: GroundTruthTarget, x) -> np.ndarray | float:
     return float(value) if np.isscalar(x) or x_arr.ndim == 0 else value
 
 
-def build_pool(n: int, lo: float, hi: float) -> UnlabeledPool:
-    """n evenly spaced candidates on [lo, hi], endpoints included."""
+def build_pool(n: int, lo: float, hi: float) -> np.ndarray:
+    """(n, 1) evenly spaced candidates on [lo, hi], endpoints included."""
     if n < 2:
         raise ValueError("pool needs at least 2 candidates")
     if not lo < hi:
         raise ValueError("need lo < hi")
-    xs = np.linspace(lo, hi, n)
-    return UnlabeledPool(xs[:, None], np.ones(n, dtype=bool))
+    return np.linspace(lo, hi, n)[:, None]
 
 
 def build_test_set(
@@ -200,17 +139,11 @@ def build_test_set(
     hi: float,
     target: GroundTruthTarget,
     rng: np.random.Generator,
-    layout: str = "random",
 ) -> TestSet:
-    """Holdout set with inputs uniform on [lo, hi] (or an even grid)."""
+    """Holdout set with inputs uniform on [lo, hi]."""
     if n < 1:
         raise ValueError("test set needs at least 1 point")
-    if layout == "random":
-        xs = rng.uniform(lo, hi, n)
-    elif layout == "grid":
-        xs = np.linspace(lo, hi, n)
-    else:
-        raise ValueError(f"unknown test layout {layout!r}")
+    xs = rng.uniform(lo, hi, n)
     clean = np.asarray(eval_target(target, xs), dtype=float)
     noise = math.sqrt(target.noise_variance) * rng.standard_normal(n)
     return TestSet(xs[:, None], clean + noise, clean)

@@ -12,7 +12,7 @@ from ual_lab.acquisition import (
 from ual_lab.alloop import BprLearner
 from ual_lab.gpr import KernelSpec, gp_fit
 from ual_lab.rng import derive_rng
-from ual_lab.synthetic import UnlabeledPool, build_pool
+from ual_lab.synthetic import build_pool
 
 
 def _fit_bpr(degree, xs, ys, noise=1.0):
@@ -24,8 +24,7 @@ class TestVarianceScore:
         model = _fit_bpr(1, [], [])
         scores = score_variance(model, np.array([[0.0], [1.0], [2.0]]))
         np.testing.assert_allclose(scores, [2.0, 3.0, 6.0], atol=1e-12)
-        pool = UnlabeledPool(np.array([[0.0], [1.0], [2.0]]), np.ones(3, bool))
-        assert select(pool, scores) == 2
+        assert select(np.arange(3), scores) == 2
 
     def test_gp_prior_ties_break_low(self):
         gp_model = gp_fit(KernelSpec("rbf"), np.zeros((0, 1)), [], 1.0)
@@ -37,10 +36,9 @@ class TestVarianceScore:
                 from ual_lab.gpr import gp_predict_batch
                 return gp_predict_batch(gp_model, xs, include_noise=True)
 
-        pool = build_pool(5, -2, 2)
-        scores = score_variance(Wrap(), pool.candidates)
+        scores = score_variance(Wrap(), build_pool(5, -2, 2))
         np.testing.assert_allclose(scores, scores[0])
-        assert select(pool, scores) == 0
+        assert select(np.arange(5), scores) == 0
 
     def test_observed_point_score_drops(self):
         before = _fit_bpr(1, [], [])
@@ -51,26 +49,23 @@ class TestVarianceScore:
 
 class TestRandomScore:
     def test_single_active_candidate_forced(self):
-        pool = build_pool(3, 0, 1).deactivated(0).deactivated(2)
-        assert score_random(derive_rng(40, 0), pool) == 1
+        assert score_random(derive_rng(40, 0), np.array([1])) == 1
 
     def test_seeded_sequence_reproducible(self):
-        pool = build_pool(10, 0, 1)
-        a = [score_random(derive_rng(41, 0, i), pool) for i in range(20)]
-        b = [score_random(derive_rng(41, 0, i), pool) for i in range(20)]
+        active = np.arange(10)
+        a = [score_random(derive_rng(41, 0, i), active) for i in range(20)]
+        b = [score_random(derive_rng(41, 0, i), active) for i in range(20)]
         assert a == b
 
     def test_uniform_frequencies(self):
-        pool = build_pool(4, 0, 1)
         rng = derive_rng(42, 0)
-        draws = np.array([score_random(rng, pool) for _ in range(100_000)])
+        draws = np.array([score_random(rng, np.arange(4)) for _ in range(100_000)])
         freqs = np.bincount(draws, minlength=4) / draws.size
         np.testing.assert_allclose(freqs, 0.25, atol=0.01)
 
     def test_empty_pool_rejected(self):
-        pool = build_pool(2, 0, 1).deactivated(0).deactivated(1)
         with pytest.raises(ValueError):
-            score_random(derive_rng(43, 0), pool)
+            score_random(derive_rng(43, 0), np.array([], dtype=int))
 
 
 class TestDirectMseScore:
@@ -107,14 +102,14 @@ class TestDirectMseScore:
         surrogate = gp_fit(KernelSpec("rbf", lengthscale=0.5), xs[:, None], ys, 0.01)
         model = _fit_bpr(1, xs, ys, noise=0.01)
         pool = build_pool(50, -2, 2)
-        scores = score_direct_mse(surrogate, model, pool.candidates)
+        scores = score_direct_mse(surrogate, model, pool)
         # brute force: evaluate the same discrepancy one candidate at a time
         brute = np.array([
-            score_direct_mse(surrogate, model, pool.candidates[i:i + 1])[0]
+            score_direct_mse(surrogate, model, pool[i:i + 1])[0]
             for i in range(50)
         ])
         np.testing.assert_allclose(scores, brute, atol=1e-12)
-        assert select(pool, scores) == int(np.argmax(brute))
+        assert select(np.arange(50), scores) == int(np.argmax(brute))
 
 
 class TestUpperBoundScore:
@@ -158,9 +153,8 @@ class TestUpperBoundScore:
         surrogate = gp_fit(KernelSpec("rbf", lengthscale=0.5), xs[:, None], ys, 1.0)
         model = _fit_bpr(1, xs, ys)
         pool = build_pool(50, -2, 2)
-        upper = score_upper_bound(surrogate, model, pool.candidates, xs[:, None],
-                                  5.0, 0.05, 50)
-        direct = score_direct_mse(surrogate, model, pool.candidates)
+        upper = score_upper_bound(surrogate, model, pool, xs[:, None], 5.0, 0.05, 50)
+        direct = score_direct_mse(surrogate, model, pool)
         assert np.all(upper >= direct)
         assert np.all(upper >= 1.0)  # never below the noise floor
 
@@ -173,40 +167,34 @@ class TestUpperBoundScore:
 
 class TestSelect:
     def test_tie_breaks_to_lowest_index(self):
-        pool = build_pool(3, 0, 1)
-        assert select(pool, [1.0, 3.0, 3.0]) == 1
+        assert select(np.arange(3), [1.0, 3.0, 3.0]) == 1
 
     def test_full_tie_picks_first(self):
-        pool = build_pool(4, 0, 1)
-        assert select(pool, [2.0, 2.0, 2.0, 2.0]) == 0
+        assert select(np.arange(4), [2.0, 2.0, 2.0, 2.0]) == 0
 
     def test_single_survivor(self):
-        pool = build_pool(3, 0, 1).deactivated(0).deactivated(1)
-        assert select(pool, [5.0]) == 2
+        assert select(np.array([2]), [5.0]) == 2
 
     def test_indices_refer_to_original_pool(self):
-        pool = build_pool(5, 0, 1).deactivated(0)
-        assert select(pool, [0.0, 9.0, 0.0, 0.0]) == 2
+        assert select(np.array([1, 2, 3, 4]), [0.0, 9.0, 0.0, 0.0]) == 2
 
     def test_misaligned_scores_rejected(self):
-        pool = build_pool(3, 0, 1)
         with pytest.raises(ValueError):
-            select(pool, [1.0, 2.0])
+            select(np.arange(3), [1.0, 2.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_score_rejected(self, bad):
         # np.argmax would pick the first NaN; a broken score must fail loudly
-        pool = build_pool(4, 0, 1)
         with pytest.raises(ValueError, match="finite"):
-            select(pool, [1.0, bad, 5.0, 2.0])
+            select(np.arange(4), [1.0, bad, 5.0, 2.0])
 
     def test_constant_shift_invariance(self):
         rng = derive_rng(48, 0)
-        pool = build_pool(20, -2, 2)
+        active = np.arange(20)
         for _ in range(50):
             scores = rng.standard_normal(20)
             shift = float(rng.uniform(-100, 100))
-            assert select(pool, scores) == select(pool, scores + shift)
+            assert select(active, scores) == select(active, scores + shift)
 
 
 def test_perfect_surrogate_ranks_like_true_squared_error():
@@ -218,18 +206,16 @@ def test_perfect_surrogate_ranks_like_true_squared_error():
     surrogate = gp_fit(KernelSpec("rbf", lengthscale=0.5), xs[:, None], f, 1e-10)
     model = _fit_bpr(1, xs, f, noise=1.0)
     pool = build_pool(40, -1.9, 1.9)
-    scores = score_direct_mse(surrogate, model, pool.candidates)
-    f_means, _ = model.predict_batch(pool.candidates)
-    truth = (0.4 - 0.7 * pool.candidates[:, 0] + 0.9 * pool.candidates[:, 0] ** 2
-             - f_means) ** 2
+    scores = score_direct_mse(surrogate, model, pool)
+    f_means, _ = model.predict_batch(pool)
+    truth = (0.4 - 0.7 * pool[:, 0] + 0.9 * pool[:, 0] ** 2 - f_means) ** 2
     np.testing.assert_array_equal(np.argsort(scores), np.argsort(truth))
 
 
 def test_variance_strategy_prefers_endpoints_on_symmetric_pool():
     model = _fit_bpr(1, [0.1], [0.5])
-    pool = build_pool(21, -2, 2)
-    scores = score_variance(model, pool.candidates)
-    chosen = select(pool, scores)
+    scores = score_variance(model, build_pool(21, -2, 2))
+    chosen = select(np.arange(21), scores)
     assert chosen in (0, 20)
 
 

@@ -117,7 +117,7 @@ class TestSplit:
         path = tmp_path / "c.csv"
         _write_concrete(path, n_rows=10)
         ds = load_csv(path, "concrete")
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             split(ds, 0.25, derive_rng(81, 3), subsample=11)
 
 

@@ -81,6 +81,8 @@ class TestParseConfig:
         pytest.param({"strategies": [{"kind": ["variance"]}]}, "strategies[0].kind:",
                      id="strategy-kind-unhashable"),
         pytest.param({"test": {"n": 4, "lo": 2.0, "hi": -2.0}}, "test:", id="empty-span"),
+        pytest.param({"test": {"n": 4, "lo": -2.0, "hi": 2.0, "layout": "grid"}},
+                     "test: unknown key 'layout'", id="test-layout-removed"),
         pytest.param({"target": {"kind": "synthetic", "order": 3, "noise_variance": 0}},
                      "target.noise_variance:", id="bpr-noiseless-target"),
     ])
@@ -316,6 +318,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: run failed at RunKey(")
         assert "GP append" in err
+
+    @pytest.mark.parametrize("split_keys, message", [
+        pytest.param({"subsample": 600}, "subsample 600 exceeds the dataset's 40 rows",
+                     id="subsample-over-rows"),
+        pytest.param({"test_fraction": 0.01}, "empty test partition (0 test, 40 train)",
+                     id="empty-test"),
+        pytest.param({"test_fraction": 0.99}, "empty train partition (40 test, 0 train)",
+                     id="empty-train"),
+    ])
+    def test_bad_dataset_split_exits_2(self, tmp_path, capsys, split_keys, message):
+        from conftest import write_concrete_csv
+        data_path = tmp_path / "c.csv"
+        write_concrete_csv(data_path, n_rows=40)
+        raw = _small_config(n_seeds=1, budget=2,
+                            target={**_DATASET_TARGET, "path": str(data_path), **split_keys},
+                            models=[{"kind": "gpr", "kernel": {"kind": "rbf"}}])
+        del raw["pool"], raw["test"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_missing_dataset_file_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)  # the shipped relative data path does not exist here

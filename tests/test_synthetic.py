@@ -65,30 +65,24 @@ class TestEvalTarget:
 class TestBuildPool:
     def test_even_partition(self):
         pool = build_pool(3, -2.0, 2.0)
-        np.testing.assert_array_equal(pool.candidates[:, 0], [-2.0, 0.0, 2.0])
-        assert pool.active.all()
+        assert pool.shape == (3, 1)
+        np.testing.assert_array_equal(pool[:, 0], [-2.0, 0.0, 2.0])
 
     def test_protocol_scale_spacing(self):
         pool = build_pool(200, -2.0, 2.0)
-        xs = pool.candidates[:, 0]
+        xs = pool[:, 0]
         assert xs[0] == -2.0 and xs[-1] == 2.0
         np.testing.assert_allclose(np.diff(xs), 4.0 / 199.0, atol=1e-12)
 
     def test_two_points(self):
         pool = build_pool(2, 0.0, 1.0)
-        np.testing.assert_array_equal(pool.candidates[:, 0], [0.0, 1.0])
+        np.testing.assert_array_equal(pool[:, 0], [0.0, 1.0])
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             build_pool(1, 0.0, 1.0)
         with pytest.raises(ValueError):
             build_pool(10, 1.0, 1.0)
-
-    def test_deactivation_is_one_way(self):
-        pool = build_pool(4, 0.0, 1.0).deactivated(2)
-        assert pool.n_active == 3
-        with pytest.raises(ValueError):
-            pool.deactivated(2)
 
 
 class TestBuildTestSet:
@@ -104,11 +98,6 @@ class TestBuildTestSet:
         t = GroundTruthTarget(PURE_POLYNOMIAL, 2, [1, 0, 1], noise_variance=0.0)
         ts = build_test_set(50, -2.0, 2.0, t, derive_rng(10, 0))
         np.testing.assert_array_equal(ts.observed_outputs, ts.clean_outputs)
-
-    def test_grid_layout(self):
-        t = sample_target(1, derive_rng(11, 0))
-        ts = build_test_set(5, -2.0, 2.0, t, derive_rng(11, 1), layout="grid")
-        np.testing.assert_allclose(ts.inputs[:, 0], np.linspace(-2, 2, 5))
 
 
 def test_gradient_bound_covers_sampled_slopes():
