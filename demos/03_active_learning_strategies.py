@@ -35,14 +35,15 @@ for seed in range(SEEDS):
     target = sample_target(2, derive_rng(99, seed, 0), POLYNOMIAL_PLUS_COSINE)
     pool = build_pool(200, -2, 2)
     oracle = SyntheticOracle(target, 99, (seed, 1))
+    labels = np.array([oracle.label(i, x) for i, x in enumerate(pool)])
     init_idx = int(derive_rng(99, seed, 2).integers(200))
     test = build_test_set(500, -2, 2, target, derive_rng(99, seed, 3))
     strategies["upper_bound"] = StrategySpec(
         "upper_bound", gradient_bound=gradient_bound(target, -2, 2))
     for si, (name, spec) in enumerate(strategies.items()):
-        trace = run_al(BprLearner(1, 1.0), spec, oracle, pool, init_idx, test,
+        trace = run_al(BprLearner(1, 1.0), spec, pool, labels, init_idx, test,
                        BUDGET, derive_rng(99, seed, 4, 0, si))
-        curves[name].append([r.test_mse for r in trace.records])
+        curves[name].append(trace.test_mse)
 
 steps = np.arange(BUDGET + 1)
 print(f"mean test MSE over {SEEDS} paired seeds:")

@@ -1,13 +1,13 @@
 """Pool-based active learning driver.
 
-One run works on indices into one candidate array: label the initial
-candidate, fit, record step 0, then repeatedly score the still-unlabeled
-candidates, query the winner's label, refit the learner from scratch, and
-record the test error. Learner refits are always on the full labeled set,
-so the final model depends only on which points were acquired, not in
-what order. The surrogate GP of ``direct_mse`` and ``upper_bound`` is fit
-once on the initial point and extended by one Cholesky row per label
-(:func:`gpr.gp_append`).
+One run works on indices into one candidate array and its label array:
+fit on the initial candidate, record step 0, then repeatedly score the
+still-unlabeled candidates, take the winner's label, refit the learner
+from scratch, and record the test error. Learner refits are always on the
+full labeled set, so the final model depends only on which points were
+acquired, not in what order. The surrogate GP of ``direct_mse`` and
+``upper_bound`` is fit once on the initial point and extended by one
+Cholesky row per label (:func:`gpr.gp_append`).
 Both learners return a :class:`FittedModel`, the one type the loop and
 the acquisition scores predict through.
 """
@@ -15,7 +15,7 @@ the acquisition scores predict through.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Protocol
+from typing import Optional
 
 import numpy as np
 
@@ -33,10 +33,8 @@ from .rng import derive_rng
 from .synthetic import GroundTruthTarget, TestSet, eval_target
 
 __all__ = [
-    "StepRecord",
     "RunTrace",
     "SyntheticOracle",
-    "TableOracle",
     "FittedModel",
     "BprLearner",
     "GprLearner",
@@ -45,21 +43,18 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    step: int
-    chosen_x: Optional[np.ndarray]  # None for the pre-acquisition record
-    test_mse: float
-    bias: Optional[float] = None
-    variance: Optional[float] = None
-
-
-@dataclass(frozen=True)
 class RunTrace:
-    records: tuple[StepRecord, ...]
+    """Per-step arrays of one run; row or entry ``k`` belongs to step ``k``.
 
+    ``chosen_x`` has one row per acquisition (step 0 acquires nothing).
+    ``bias`` and ``variance`` split ``test_mse`` against noiseless targets,
+    and are None for a test set without them.
+    """
 
-class LabelOracle(Protocol):
-    def label(self, index: int, x: np.ndarray) -> float: ...
+    chosen_x: np.ndarray              # (budget, d)
+    test_mse: np.ndarray              # (budget + 1,)
+    bias: Optional[np.ndarray]        # (budget + 1,) or None
+    variance: Optional[np.ndarray]    # (budget + 1,) or None
 
 
 class SyntheticOracle:
@@ -80,16 +75,6 @@ class SyntheticOracle:
         clean = eval_target(self.target, float(np.asarray(x).reshape(-1)[0]))
         eps = derive_rng(self._master_seed, *self._path, index).standard_normal()
         return float(clean + self._sigma * eps)
-
-
-class TableOracle:
-    """Row lookup for real datasets: the label is the stored value."""
-
-    def __init__(self, outputs):
-        self._outputs = np.asarray(outputs, dtype=float)
-
-    def label(self, index: int, x: np.ndarray) -> float:
-        return float(self._outputs[index])
 
 
 @dataclass(frozen=True)
@@ -152,8 +137,8 @@ class GprLearner:
 def run_al(
     learner,
     strategy: acq.StrategySpec,
-    oracle: LabelOracle,
     candidates: np.ndarray,
+    labels: np.ndarray,
     init_index: int,
     test: TestSet,
     budget: int,
@@ -161,16 +146,18 @@ def run_al(
 ) -> RunTrace:
     """Run ``budget`` acquisitions from ``candidates[init_index]`` and return the trace.
 
-    ``candidates`` is the (n, d) pool; every labeled point, the initial one
-    included, is one of its rows, labeled by ``oracle`` on its index. Step 0
-    records the model fit on the initial point alone. Each step records the
-    test MSE split into bias and variance against the noiseless targets
-    when the test set has them (synthetic targets), and the MSE against the
-    observed targets otherwise (real datasets). The rng is consumed only by
-    the random strategy, so selection and model are fully decoupled for the
-    baselines.
+    ``candidates`` is the (n, d) pool and ``labels`` its (n,) outputs;
+    every labeled point, the initial one included, is one of its rows.
+    Step 0 records the model fit on the initial point alone. Each step
+    records the test MSE split into bias and variance against the
+    noiseless targets when the test set has them (synthetic targets), and
+    the MSE against the observed targets otherwise (real datasets). The rng
+    is consumed only by the random strategy, so selection and model are
+    fully decoupled for the baselines.
     """
     n = candidates.shape[0]
+    if labels.shape != (n,):
+        raise ValueError(f"labels of shape {labels.shape} do not match the {n} candidates")
     if not 0 <= init_index < n:
         raise ValueError(f"init_index {init_index} is not one of the {n} candidates")
     if budget > n - 1:
@@ -180,17 +167,16 @@ def run_al(
         raise ValueError("gradient_bound must be resolved to a number before running")
 
     labeled = [init_index]
-    outputs = [oracle.label(init_index, candidates[init_index])]
     active = np.ones(n, dtype=bool)
     active[init_index] = False
-    model = learner.fit(candidates[labeled], np.array(outputs))
-    records = [_record(0, model, test, None)]
+    model = learner.fit(candidates[labeled], labels[labeled])
+    terms = [_bias_spread(model, test)]
     surrogate = None
     if strategy.kind in (acq.DIRECT_MSE, acq.UPPER_BOUND):
-        surrogate = gp_fit(strategy.surrogate_kernel, candidates[labeled], outputs,
+        surrogate = gp_fit(strategy.surrogate_kernel, candidates[labeled], labels[labeled],
                            model.noise_variance)
 
-    for step in range(1, budget + 1):
+    for _ in range(budget):
         indices = np.flatnonzero(active)
         if strategy.kind == acq.RANDOM:
             chosen = acq.score_random(rng, indices)
@@ -206,29 +192,26 @@ def run_al(
                     strategy.gradient_bound, strategy.confidence, pool_size=indices.size,
                 )
             chosen = acq.select(indices, scores)
-        x = candidates[chosen]
-        y = oracle.label(chosen, x)
         labeled.append(chosen)
-        outputs.append(y)
         active[chosen] = False
         if surrogate is not None:
-            surrogate = gp_append(surrogate, x, y)
-        model = learner.fit(candidates[labeled], np.array(outputs))
-        records.append(_record(step, model, test, x))
-    return RunTrace(tuple(records))
+            surrogate = gp_append(surrogate, candidates[chosen], labels[chosen])
+        model = learner.fit(candidates[labeled], labels[labeled])
+        terms.append(_bias_spread(model, test))
 
-
-def _record(step: int, model, test: TestSet, x) -> StepRecord:
-    """Test MSE per point: (target - predictive mean)^2 plus the posterior
-    spread (predictive variance minus the noise floor), averaged."""
-    chosen = None if x is None else np.asarray(x, dtype=float)
+    bias, variance = np.array(terms).T
     clean = test.clean_outputs is not None
-    targets = test.clean_outputs if clean else test.observed_outputs
+    return RunTrace(candidates[labeled[1:]], bias + variance,
+                    bias if clean else None, variance if clean else None)
+
+
+def _bias_spread(model, test: TestSet) -> tuple[float, float]:
+    """Test MSE per point split in two: (target - predictive mean)^2 and the
+    posterior spread (predictive variance minus the noise floor), averaged.
+    The targets are the noiseless ones when the test set has them."""
+    targets = test.observed_outputs if test.clean_outputs is None else test.clean_outputs
     if len(targets) == 0:
         raise ValueError("test set is empty")
     means, variances = model.predict_batch(test.inputs)
-    bias_term = float(np.mean((targets - means) ** 2))
-    var_term = float(np.mean(variances - model.noise_variance))
-    if clean:
-        return StepRecord(step, chosen, bias_term + var_term, bias_term, var_term)
-    return StepRecord(step, chosen, bias_term + var_term)
+    return (float(np.mean((targets - means) ** 2)),
+            float(np.mean(variances - model.noise_variance)))

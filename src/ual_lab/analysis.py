@@ -28,7 +28,7 @@ import numpy as np
 
 from .bpr import BprPosterior, BprPrior, design_matrix, feature_map
 from .errors import TruncationError
-from .linalg import chol_spd, chol_solve_vec
+from .linalg import chol_spd, chol_solve_vec, spd_inverse
 
 __all__ = [
     "DecompositionReport",
@@ -50,8 +50,7 @@ _MASS_TOL = 1e-6          # probability mass allowed outside the truncated domai
 
 def _posterior_cov(prior: BprPrior, phi_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(posterior covariance, prior precision) given a design matrix."""
-    prior_precision = chol_solve_vec(chol_spd(prior.cov), np.eye(prior.degree + 1))
-    prior_precision = 0.5 * (prior_precision + prior_precision.T)
+    prior_precision = spd_inverse(prior.cov)
     precision = prior_precision + (phi_hat.T @ phi_hat) / prior.noise_variance
     cov = chol_solve_vec(chol_spd(precision), np.eye(prior.degree + 1))
     return 0.5 * (cov + cov.T), prior_precision

@@ -78,15 +78,25 @@ class TabularDataset:
 def load_schema(schema: str | Path) -> DatasetSchema:
     """Resolve a built-in schema id or a path to a schema JSON file."""
     if isinstance(schema, str) and schema in BUILTIN_SCHEMAS:
-        text = resources.files("ual_lab.schemas").joinpath(f"{schema}.json").read_text()
-        raw = json.loads(text)
+        path = resources.files("ual_lab.schemas").joinpath(f"{schema}.json")
         name = schema
     else:
         path = Path(schema)
         if not path.exists():
             raise DataError(f"schema file not found: {path}")
-        raw = json.loads(path.read_text())
         name = path.stem
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise DataError(f"schema {path}: not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise DataError(f"schema {path}: must be a JSON object, not {type(raw).__name__}")
+    for key in ("features", "categorical"):
+        value = raw.get(key, [])
+        if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+            raise DataError(f"schema {path}: {key} must be a list of strings, not {value!r}")
+    if not isinstance(raw.get("target", ""), str):
+        raise DataError(f"schema {path}: target must be a string, not {raw['target']!r}")
     try:
         return DatasetSchema(
             name=name,
@@ -106,21 +116,19 @@ def load_csv(path: str | Path, schema: str | Path | DatasetSchema) -> TabularDat
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle, delimiter=schema.delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        required = set(schema.features) | {schema.target}
-        missing = required - set(header)
-        if missing:
-            raise DataError(
-                f"{path}: header is missing schema columns {sorted(missing)}"
-            )
-        col_index = {name: header.index(name) for name in required}
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle, delimiter=schema.delimiter))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    header = [h.strip() for h in rows.pop(0)]
+    required = set(schema.features) | {schema.target}
+    missing = required - set(header)
+    if missing:
+        raise DataError(f"{path}: header is missing schema columns {sorted(missing)}")
+    col_index = {name: header.index(name) for name in required}
 
     numeric_cols = [c for c in schema.features if c not in schema.categorical]
     kept_numeric: list[list[float]] = []

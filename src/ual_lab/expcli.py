@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .alloop import BprLearner, GprLearner, RunTrace, SyntheticOracle, TableOracle, run_al
+from .alloop import BprLearner, GprLearner, RunTrace, SyntheticOracle, run_al
 from .analysis import variance_proxy_gap
 from .bpr import default_prior
 from .config import (
@@ -64,19 +64,17 @@ DISCREPANCY_HEADER = "experiment_id,model,x,mean_gap"
 
 
 @dataclass(frozen=True)
-class RunKey:
-    seed: int
-    model_id: str
-    strategy_id: str
-
-
-@dataclass(frozen=True)
 class AggregateResults:
-    """What one experiment computed; which experiment it was stays in its config."""
+    """What one experiment computed; which experiment it was stays in its config.
 
-    traces: dict  # RunKey -> RunTrace (al_curves)
-    summary: dict  # (model_id, strategy_id) -> (mean array, std array)
-    discrepancy: Optional[dict] = None  # model_id -> (grid xs, mean gaps)
+    An al_curves run fills ``runs[seed][model_id][strategy_id]`` and
+    ``test_mse``, shaped (seeds, models, strategies, budget + 1) in config
+    order; a discrepancy run fills ``gaps``, the (models, grid) mean gaps.
+    """
+
+    runs: Optional[list] = None
+    test_mse: Optional[np.ndarray] = None
+    gaps: Optional[np.ndarray] = None
 
 
 def _make_learner(spec: ModelSpec, noise_variance: float):
@@ -94,6 +92,7 @@ def _synthetic_setup(cfg: ExperimentConfig, seed: int, data: None):
     )
     candidates = build_pool(cfg.pool.n, cfg.pool.lo, cfg.pool.hi)
     oracle = SyntheticOracle(target, cfg.master_seed, (seed, 1))
+    labels = np.array([oracle.label(i, x) for i, x in enumerate(candidates)])
     init_index = int(derive_rng(cfg.master_seed, seed, 2).integers(cfg.pool.n))
     test = build_test_set(cfg.test.n, cfg.test.lo, cfg.test.hi, target,
                           derive_rng(cfg.master_seed, seed, 3))
@@ -102,7 +101,7 @@ def _synthetic_setup(cfg: ExperimentConfig, seed: int, data: None):
         if s.gradient_bound == "auto" else s
         for s in cfg.strategies
     )
-    return candidates, oracle, init_index, test, t.noise_variance, strategies
+    return candidates, labels, init_index, test, t.noise_variance, strategies
 
 
 def _dataset_setup(cfg: ExperimentConfig, seed: int, data: TabularDataset):
@@ -118,37 +117,39 @@ def _dataset_setup(cfg: ExperimentConfig, seed: int, data: TabularDataset):
         )
     init_index = int(derive_rng(cfg.master_seed, seed, 2).integers(len(train)))
     test = TestSet(test_part.features, test_part.targets, None)
-    return (train.features, TableOracle(train.targets), init_index, test,
+    return (train.features, train.targets, init_index, test,
             t.model_noise_variance, cfg.strategies)
 
 
 def _seed_runs(cfg: ExperimentConfig, seed: int,
-               data: Optional[TabularDataset]) -> list[tuple[RunKey, RunTrace]]:
-    """Every (model, strategy) run of one seed, all from one initial candidate.
+               data: Optional[TabularDataset]) -> dict[str, dict[str, RunTrace]]:
+    """Every run of one seed as ``runs[model_id][strategy_id]``, all from one
+    initial candidate.
 
-    The per-target setup gives the (n, d) candidate array, its label oracle,
+    The per-target setup gives the (n, d) candidate array, its (n,) labels,
     the index of the initial candidate, the test set, the models' noise
-    variance, and the strategies with every bound resolved. The oracle is a
-    pure function of the index, so every run sees the same initial label.
+    variance, and the strategies with every bound resolved. Every run reads
+    the same labels, so paired runs share their step 0.
     """
     setup = _dataset_setup if isinstance(cfg.target, DatasetTargetSpec) else _synthetic_setup
-    candidates, oracle, init_index, test, noise_variance, strategies = setup(cfg, seed, data)
+    candidates, labels, init_index, test, noise_variance, strategies = setup(cfg, seed, data)
 
-    out = []
+    runs = {}
     for mi, model_spec in enumerate(cfg.models):
+        runs[model_spec.model_id] = {}
         for si, strategy in enumerate(strategies):
             learner = _make_learner(model_spec, noise_variance)
-            key = RunKey(seed, model_spec.model_id, strategy.kind)
+            name = f"seed {seed}, model {model_spec.model_id}, strategy {strategy.kind}"
             try:
-                trace = run_al(learner, strategy, oracle, candidates, init_index, test,
+                trace = run_al(learner, strategy, candidates, labels, init_index, test,
                                cfg.budget, derive_rng(cfg.master_seed, seed, 4, mi, si))
             except UalLabError as exc:
                 # keep the class, so the CLI reports it as a library error
-                raise type(exc)(f"run failed at {key}: {exc}") from exc
+                raise type(exc)(f"run failed at {name}: {exc}") from exc
             except Exception as exc:
-                raise RuntimeError(f"run failed at {key}: {exc}") from exc
-            out.append((key, trace))
-    return out
+                raise RuntimeError(f"run failed at {name}: {exc}") from exc
+            runs[model_spec.model_id][strategy.kind] = trace
+    return runs
 
 
 def _seed_discrepancy(cfg: ExperimentConfig, seed: int) -> np.ndarray:
@@ -187,29 +188,13 @@ def run_experiment(cfg: ExperimentConfig,
     else:
         results = [_seed_worker(p) for p in payloads]
     results.sort(key=lambda item: item[0])
+    per_seed = [value for _, value in results]
 
     if cfg.kind == "discrepancy":
-        stacked = np.stack([gaps for _, gaps in results])  # (seeds, models, grid)
-        mean_gaps = stacked.mean(axis=0)
-        xs = np.linspace(cfg.grid.lo, cfg.grid.hi, cfg.grid.n)
-        discrepancy = {
-            model_id: (xs, mean_gaps[mi]) for mi, model_id in enumerate(cfg.model_ids)
-        }
-        return AggregateResults({}, {}, discrepancy)
-
-    traces: dict[RunKey, RunTrace] = {}
-    for _, runs in results:
-        for key, trace in runs:
-            traces[key] = trace
-    summary = {}
-    for model_id in cfg.model_ids:
-        for strategy_id in cfg.strategy_ids:
-            curves = np.array([
-                [rec.test_mse for rec in traces[RunKey(seed, model_id, strategy_id)].records]
-                for seed in range(cfg.n_seeds)
-            ])
-            summary[(model_id, strategy_id)] = (curves.mean(axis=0), curves.std(axis=0))
-    return AggregateResults(traces, summary)
+        return AggregateResults(gaps=np.stack(per_seed).mean(axis=0))
+    test_mse = np.array([[[runs[m][s].test_mse for s in cfg.strategy_ids]
+                          for m in cfg.model_ids] for runs in per_seed])
+    return AggregateResults(per_seed, test_mse)
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +203,6 @@ def run_experiment(cfg: ExperimentConfig,
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
-
-
-def _fmt_chosen(x) -> str:
-    if x is None:
-        return ""
-    arr = np.asarray(x, dtype=float).reshape(-1)
-    return ";".join(_fmt(v) for v in arr)
 
 
 def emit(results: AggregateResults, out_dir: str | Path, cfg: ExperimentConfig,
@@ -236,9 +214,9 @@ def emit(results: AggregateResults, out_dir: str | Path, cfg: ExperimentConfig,
 
     if cfg.kind == "discrepancy":
         path = out / "discrepancy.csv"
+        xs = np.linspace(cfg.grid.lo, cfg.grid.hi, cfg.grid.n)
         lines = [DISCREPANCY_HEADER]
-        for model_id in cfg.model_ids:
-            xs, gaps = results.discrepancy[model_id]
+        for model_id, gaps in zip(cfg.model_ids, results.gaps):
             lines.extend(
                 f"{cfg.experiment_id},{model_id},{_fmt(x)},{_fmt(g)}"
                 for x, g in zip(xs, gaps)
@@ -246,9 +224,8 @@ def emit(results: AggregateResults, out_dir: str | Path, cfg: ExperimentConfig,
         _write_text(path, "\n".join(lines) + "\n")
         written.append(path)
         series = [
-            Series(model_id, results.discrepancy[model_id][0],
-                   np.maximum(results.discrepancy[model_id][1], 1e-18))
-            for model_id in cfg.model_ids
+            Series(model_id, xs, np.maximum(gaps, 1e-18))
+            for model_id, gaps in zip(cfg.model_ids, results.gaps)
         ]
         svg_path = out / "discrepancy.svg"
         _write_text(svg_path, line_chart(
@@ -256,46 +233,47 @@ def emit(results: AggregateResults, out_dir: str | Path, cfg: ExperimentConfig,
         written.append(svg_path)
     else:
         trace_lines = [TRACES_HEADER]
-        init_size = 1
-        for seed in range(cfg.n_seeds):
+        for seed, runs in enumerate(results.runs):
             for model_id in cfg.model_ids:
                 for strategy_id in cfg.strategy_ids:
-                    trace = results.traces[RunKey(seed, model_id, strategy_id)]
-                    for rec in trace.records:
-                        bias = "" if rec.bias is None else _fmt(rec.bias)
-                        var = "" if rec.variance is None else _fmt(rec.variance)
+                    trace = runs[model_id][strategy_id]
+                    for step, mse in enumerate(trace.test_mse):
+                        # step 0 acquires nothing; n_labeled counts the initial point
+                        chosen = ";".join(map(_fmt, trace.chosen_x[step - 1])) if step else ""
+                        bias = "" if trace.bias is None else _fmt(trace.bias[step])
+                        var = "" if trace.variance is None else _fmt(trace.variance[step])
                         trace_lines.append(
                             f"{cfg.experiment_id},{seed},{model_id},{strategy_id},"
-                            f"{rec.step},{init_size + rec.step},{_fmt_chosen(rec.chosen_x)},"
-                            f"{_fmt(rec.test_mse)},{bias},{var}"
+                            f"{step},{step + 1},{chosen},"
+                            f"{_fmt(mse)},{bias},{var}"
                         )
         path = out / "traces.csv"
         _write_text(path, "\n".join(trace_lines) + "\n")
         written.append(path)
 
+        means, stds = results.test_mse.mean(axis=0), results.test_mse.std(axis=0)
         summary_lines = [SUMMARY_HEADER]
-        for model_id in cfg.model_ids:
-            for strategy_id in cfg.strategy_ids:
-                means, stds = results.summary[(model_id, strategy_id)]
+        for mi, model_id in enumerate(cfg.model_ids):
+            for si, strategy_id in enumerate(cfg.strategy_ids):
                 summary_lines.extend(
                     f"{cfg.experiment_id},{model_id},{strategy_id},{step},"
-                    f"{_fmt(means[step])},{_fmt(stds[step])},{cfg.n_seeds}"
-                    for step in range(means.size)
+                    f"{_fmt(mean)},{_fmt(std)},{cfg.n_seeds}"
+                    for step, (mean, std) in enumerate(zip(means[mi, si], stds[mi, si]))
                 )
         path = out / "summary.csv"
         _write_text(path, "\n".join(summary_lines) + "\n")
         written.append(path)
 
         steps = np.arange(cfg.budget + 1)
-        for model_id in cfg.model_ids:
+        for mi, model_id in enumerate(cfg.model_ids):
             series = []
-            for strategy_id in cfg.strategy_ids:
-                means, stds = results.summary[(model_id, strategy_id)]
+            for si, strategy_id in enumerate(cfg.strategy_ids):
+                mean, std = means[mi, si], stds[mi, si]
                 floor = 1e-12
                 series.append(Series(
-                    strategy_id, steps, np.maximum(means, floor),
-                    band_low=np.maximum(means - stds, floor),
-                    band_high=np.maximum(means + stds, floor),
+                    strategy_id, steps, np.maximum(mean, floor),
+                    band_low=np.maximum(mean - std, floor),
+                    band_high=np.maximum(mean + std, floor),
                 ))
             svg_path = out / f"curves_{model_id}.svg"
             _write_text(svg_path, line_chart(

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -89,7 +88,7 @@ class GpModel:
     kernel: KernelSpec
     train_inputs: np.ndarray      # (n, d)
     train_outputs: np.ndarray     # (n,)
-    chol_factor: Optional[np.ndarray]  # lower factor, None when n == 0
+    chol_factor: np.ndarray       # lower factor, (n, n)
     weights: np.ndarray           # alpha solving (K + sigma^2 I) alpha = y
     noise_variance: float
 
@@ -104,17 +103,16 @@ def gp_fit(
     ys,
     noise_variance: float,
 ) -> GpModel:
-    """Fit from scratch: factor (K + sigma^2 I), solve for the weights."""
+    """Fit from scratch on at least one point: factor (K + sigma^2 I), solve
+    for the weights."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.asarray(ys, dtype=float).reshape(-1)
-    if xs.size == 0:
-        xs = xs.reshape(0, max(1, xs.shape[-1] if xs.ndim > 1 else 1))
+    if ys.size == 0:
+        raise ValueError("a GP needs at least one training point")
     if xs.shape[0] != ys.shape[0]:
         raise ValueError("xs and ys must have equal length")
     if noise_variance < 0:
         raise ValueError("noise_variance must be >= 0")
-    if xs.shape[0] == 0:
-        return GpModel(spec, xs, ys, None, np.zeros(0), noise_variance)
     gram = kernel_matrix(spec, xs, xs) + noise_variance * np.eye(xs.shape[0])
     lower = chol_spd(gram)
     alpha = chol_solve_vec(lower, ys)
@@ -131,8 +129,8 @@ def gp_append(model: GpModel, x, y: float) -> GpModel:
     """
     x = np.asarray(x, dtype=float).reshape(1, -1)
     n = model.n_train
-    factor = model.chol_factor if n else np.zeros((0, 0))
-    l_row = solve_lower(factor, kernel_matrix(model.kernel, model.train_inputs, x)[:, 0])
+    l_row = solve_lower(model.chol_factor,
+                        kernel_matrix(model.kernel, model.train_inputs, x)[:, 0])
     k_xx = float(kernel_matrix(model.kernel, x, x)[0, 0])
     pivot_sq = k_xx + model.noise_variance - float(l_row @ l_row)
     if not (np.isfinite(pivot_sq) and pivot_sq > 0.0):
@@ -141,7 +139,7 @@ def gp_append(model: GpModel, x, y: float) -> GpModel:
             f"added (pivot^2 = {pivot_sq:g})"
         )
     lower = np.zeros((n + 1, n + 1))
-    lower[:n, :n] = factor
+    lower[:n, :n] = model.chol_factor
     lower[n, :n] = l_row
     lower[n, n] = math.sqrt(pivot_sq)
     inputs = np.vstack([model.train_inputs, x])
@@ -164,14 +162,10 @@ def gp_predict_batch(
         prior_diag = model.kernel.bias + model.kernel.weight * np.sum(xs * xs, axis=1)
     else:
         prior_diag = np.full(xs.shape[0], model.kernel.amplitude)
-    if model.n_train == 0:
-        means = np.zeros(xs.shape[0])
-        variances = prior_diag.copy()
-    else:
-        k_star = kernel_matrix(model.kernel, model.train_inputs, xs)  # (n, m)
-        means = k_star.T @ model.weights
-        v = solve_lower(model.chol_factor, k_star)
-        variances = prior_diag - np.einsum("ij,ij->j", v, v)
+    k_star = kernel_matrix(model.kernel, model.train_inputs, xs)  # (n, m)
+    means = k_star.T @ model.weights
+    v = solve_lower(model.chol_factor, k_star)
+    variances = prior_diag - np.einsum("ij,ij->j", v, v)
     if include_noise:
         variances = variances + model.noise_variance
     return means, variances
@@ -179,8 +173,6 @@ def gp_predict_batch(
 
 def log_marginal_likelihood(model: GpModel) -> float:
     """Log evidence of the training data under the fitted model."""
-    if model.n_train == 0:
-        return 0.0
     return float(
         -0.5 * model.train_outputs @ model.weights
         - np.sum(np.log(np.diagonal(model.chol_factor)))

@@ -29,7 +29,7 @@ from ual_lab.analysis import (
     variance_proxy_gap,
 )
 from ual_lab.bpr import BprPrior, default_prior, design_matrix, posterior_update, predictive_batch
-from ual_lab.expcli import RunKey, emit, parse_config_dict, run_experiment
+from ual_lab.expcli import emit, parse_config_dict, run_experiment
 from ual_lab.gpr import KernelSpec, gp_fit, gp_predict_batch
 from ual_lab.rng import derive_rng
 
@@ -123,8 +123,7 @@ def remedies_scaled():
 
 def _step_means(results, model_id, strategy_id, step, n_seeds):
     return np.array([
-        results.traces[RunKey(s, model_id, strategy_id)].records[step].test_mse
-        for s in range(n_seeds)
+        results.runs[s][model_id][strategy_id].test_mse[step] for s in range(n_seeds)
     ])
 
 

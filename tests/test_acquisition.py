@@ -9,7 +9,7 @@ from ual_lab.acquisition import (
     score_variance,
     select,
 )
-from ual_lab.alloop import BprLearner
+from ual_lab.alloop import BprLearner, FittedModel
 from ual_lab.gpr import KernelSpec, gp_fit
 from ual_lab.rng import derive_rng
 from ual_lab.synthetic import build_pool
@@ -27,17 +27,11 @@ class TestVarianceScore:
         assert select(np.arange(3), scores) == 2
 
     def test_gp_prior_ties_break_low(self):
-        gp_model = gp_fit(KernelSpec("rbf"), np.zeros((0, 1)), [], 1.0)
-
-        class Wrap:
-            noise_variance = 1.0
-
-            def predict_batch(self, xs):
-                from ual_lab.gpr import gp_predict_batch
-                return gp_predict_batch(gp_model, xs, include_noise=True)
-
-        scores = score_variance(Wrap(), build_pool(5, -2, 2))
-        np.testing.assert_allclose(scores, scores[0])
+        # one point so far away that its covariance with the pool underflows
+        # to zero: every pool variance is the prior's
+        gp_model = FittedModel(gp_fit(KernelSpec("rbf"), [[100.0]], [0.0], 1.0))
+        scores = score_variance(gp_model, build_pool(5, -2, 2))
+        np.testing.assert_array_equal(scores, 2.0)  # amplitude 1 plus noise 1
         assert select(np.arange(5), scores) == 0
 
     def test_observed_point_score_drops(self):

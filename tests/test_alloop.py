@@ -5,13 +5,7 @@ from hypothesis import strategies as st
 
 from ual_lab import acquisition as acq
 from ual_lab.acquisition import StrategySpec
-from ual_lab.alloop import (
-    BprLearner,
-    GprLearner,
-    SyntheticOracle,
-    TableOracle,
-    run_al,
-)
+from ual_lab.alloop import BprLearner, GprLearner, SyntheticOracle, run_al
 from ual_lab.gpr import KernelSpec, gp_fit
 from ual_lab.rng import derive_rng
 from ual_lab.synthetic import TestSet as HoldoutSet
@@ -22,104 +16,105 @@ def _setup(seed=0, pool_n=20, test_n=60, order=3, noise=1.0):
     target = sample_target(order, derive_rng(70, seed, 0), noise_variance=noise)
     pool = build_pool(pool_n, -2, 2)
     oracle = SyntheticOracle(target, 70, (seed, 1))
+    labels = np.array([oracle.label(i, x) for i, x in enumerate(pool)])
     init_idx = int(derive_rng(70, seed, 2).integers(pool_n))
     test = build_test_set(test_n, -2, 2, target, derive_rng(70, seed, 3))
-    return target, oracle, pool, init_idx, test
+    return target, labels, pool, init_idx, test
 
 
 class TestRunAl:
     def test_zero_budget_records_only_initial_model(self):
-        _, oracle, pool, init, test = _setup()
-        trace = run_al(BprLearner(2, 1.0), StrategySpec("variance"), oracle, pool,
+        _, labels, pool, init, test = _setup()
+        trace = run_al(BprLearner(2, 1.0), StrategySpec("variance"), pool, labels,
                        init, test, 0, derive_rng(70, 0, 4))
-        assert len(trace.records) == 1
-        assert trace.records[0].step == 0
-        assert trace.records[0].chosen_x is None
+        assert trace.test_mse.shape == trace.bias.shape == trace.variance.shape == (1,)
+        assert trace.chosen_x.shape == (0, 1)
 
     def test_labeled_count_grows_by_one_per_step(self):
-        _, oracle, pool, init, test = _setup()
+        _, labels, pool, init, test = _setup()
         budget = 10
-        trace = run_al(BprLearner(2, 1.0), StrategySpec("variance"), oracle, pool,
+        trace = run_al(BprLearner(2, 1.0), StrategySpec("variance"), pool, labels,
                        init, test, budget, derive_rng(70, 0, 5))
-        assert len(trace.records) == budget + 1
-        assert [r.step for r in trace.records] == list(range(budget + 1))
+        assert trace.test_mse.shape == (budget + 1,)
+        assert trace.chosen_x.shape == (budget, 1)
         # conservation: every acquisition is a distinct pool candidate
-        chosen = [tuple(r.chosen_x) for r in trace.records[1:]]
-        assert len(set(chosen)) == budget
+        assert len(np.unique(trace.chosen_x)) == budget
 
     def test_budget_exceeding_pool_rejected(self):
-        _, oracle, pool, init, test = _setup(pool_n=5)
+        _, labels, pool, init, test = _setup(pool_n=5)
         with pytest.raises(ValueError):
-            run_al(BprLearner(1, 1.0), StrategySpec("random"), oracle, pool,
+            run_al(BprLearner(1, 1.0), StrategySpec("random"), pool, labels,
                    init, test, 5, derive_rng(70, 0, 6))
 
     def test_init_index_outside_pool_rejected(self):
-        _, oracle, pool, _, test = _setup(pool_n=5)
+        _, labels, pool, _, test = _setup(pool_n=5)
         with pytest.raises(ValueError, match="init_index"):
-            run_al(BprLearner(1, 1.0), StrategySpec("random"), oracle, pool, 5, test, 1,
+            run_al(BprLearner(1, 1.0), StrategySpec("random"), pool, labels, 5, test, 1,
                    derive_rng(70, 0, 6))
+
+    @pytest.mark.parametrize("shape", [(4,), (6,), (5, 1)], ids=str)
+    def test_wrong_shaped_labels_rejected(self, shape):
+        _, _, pool, init, test = _setup(pool_n=5)
+        with pytest.raises(ValueError, match="labels of shape"):
+            run_al(BprLearner(1, 1.0), StrategySpec("random"), pool, np.zeros(shape),
+                   init, test, 1, derive_rng(70, 0, 6))
 
     def test_full_pool_exhaustion_is_order_independent(self):
         # every strategy ends with the same labeled set, so the same model
-        _, oracle, pool, init, test = _setup(pool_n=12)
+        _, labels, pool, init, test = _setup(pool_n=12)
         budget = len(pool) - 1
         final = {}
         for kind in ("variance", "random"):
-            trace = run_al(BprLearner(2, 1.0), StrategySpec(kind), oracle, pool,
+            trace = run_al(BprLearner(2, 1.0), StrategySpec(kind), pool, labels,
                            init, test, budget, derive_rng(70, 0, 7))
-            final[kind] = trace.records[-1].test_mse
+            final[kind] = trace.test_mse[-1]
         assert final["variance"] == pytest.approx(final["random"], abs=1e-9)
 
     def test_trace_is_deterministic(self):
-        _, oracle, pool, init, test = _setup()
-        runs = []
-        for _ in range(2):
-            trace = run_al(BprLearner(3, 1.0), StrategySpec("random"), oracle, pool,
-                           init, test, 8, derive_rng(70, 0, 8))
-            runs.append([(r.step, float(r.chosen_x[0]) if r.chosen_x is not None else None,
-                          r.test_mse) for r in trace.records])
-        assert runs[0] == runs[1]
+        _, labels, pool, init, test = _setup()
+        runs = [run_al(BprLearner(3, 1.0), StrategySpec("random"), pool, labels,
+                       init, test, 8, derive_rng(70, 0, 8)) for _ in range(2)]
+        np.testing.assert_array_equal(runs[0].chosen_x, runs[1].chosen_x)
+        np.testing.assert_array_equal(runs[0].test_mse, runs[1].test_mse)
 
     def test_random_selection_ignores_the_model(self):
-        _, oracle, pool, init, test = _setup()
+        _, labels, pool, init, test = _setup()
         chosen = {}
         for degree in (1, 4):
-            trace = run_al(BprLearner(degree, 1.0), StrategySpec("random"), oracle,
-                           pool, init, test, 8, derive_rng(70, 0, 9))
-            chosen[degree] = [tuple(r.chosen_x) for r in trace.records[1:]]
-        assert chosen[1] == chosen[4]
+            trace = run_al(BprLearner(degree, 1.0), StrategySpec("random"), pool, labels,
+                           init, test, 8, derive_rng(70, 0, 9))
+            chosen[degree] = trace.chosen_x
+        np.testing.assert_array_equal(chosen[1], chosen[4])
 
     def test_gp_learner_and_remedies_run(self):
-        target, oracle, pool, init, test = _setup()
+        target, labels, pool, init, test = _setup()
         for spec in (
             StrategySpec("direct_mse"),
             StrategySpec("upper_bound", gradient_bound=gradient_bound(target, -2, 2)),
         ):
-            trace = run_al(GprLearner(KernelSpec("rbf"), 1.0), spec, oracle, pool,
+            trace = run_al(GprLearner(KernelSpec("rbf"), 1.0), spec, pool, labels,
                            init, test, 5, derive_rng(70, 0, 10))
-            assert all(np.isfinite(r.test_mse) for r in trace.records)
+            assert np.all(np.isfinite(trace.test_mse))
 
     def test_unresolved_auto_bound_rejected(self):
-        _, oracle, pool, init, test = _setup()
+        _, labels, pool, init, test = _setup()
         with pytest.raises(ValueError):
             run_al(BprLearner(1, 1.0), StrategySpec("upper_bound", gradient_bound="auto"),
-                   oracle, pool, init, test, 2, derive_rng(70, 0, 11))
+                   pool, labels, init, test, 2, derive_rng(70, 0, 11))
 
     def test_decomposition_components_sum_to_mse(self):
-        _, oracle, pool, init, test = _setup()
-        trace = run_al(BprLearner(2, 1.0), StrategySpec("variance"), oracle, pool,
+        _, labels, pool, init, test = _setup()
+        trace = run_al(BprLearner(2, 1.0), StrategySpec("variance"), pool, labels,
                        init, test, 4, derive_rng(70, 0, 12))
-        for rec in trace.records:
-            assert rec.test_mse == pytest.approx(rec.bias + rec.variance, rel=1e-12)
+        np.testing.assert_allclose(trace.test_mse, trace.bias + trace.variance, rtol=1e-12)
 
 
-def _refit_surrogate_choices(learner, strategy, oracle, pool, init, budget):
+def _refit_surrogate_choices(learner, strategy, labels, pool, init, budget):
     """Reference selections: refit the surrogate with ``gp_fit`` before every step."""
     labeled = [init]
-    ys = [oracle.label(init, pool[init])]
     for _ in range(budget):
-        xs = pool[labeled]
-        model = learner.fit(xs, np.array(ys))
+        xs, ys = pool[labeled], labels[labeled]
+        model = learner.fit(xs, ys)
         surrogate = gp_fit(strategy.surrogate_kernel, xs, ys, model.noise_variance)
         active = np.setdiff1d(np.arange(len(pool)), labeled)
         if strategy.kind == acq.DIRECT_MSE:
@@ -128,9 +123,7 @@ def _refit_surrogate_choices(learner, strategy, oracle, pool, init, budget):
             scores = acq.score_upper_bound(surrogate, model, pool[active], xs,
                                            strategy.gradient_bound, strategy.confidence,
                                            pool_size=active.size)
-        index = acq.select(active, scores)
-        labeled.append(index)
-        ys.append(oracle.label(index, pool[index]))
+        labeled.append(acq.select(active, scores))
     return pool[labeled[1:]]
 
 
@@ -140,6 +133,7 @@ def test_extended_surrogate_selects_as_refit_surrogate(seed):
     target = sample_target(2, derive_rng(73, seed, 0), "polynomial-plus-cosine")
     pool = build_pool(200, -2, 2)
     oracle = SyntheticOracle(target, 73, (seed, 1))
+    labels = np.array([oracle.label(i, x) for i, x in enumerate(pool)])
     init_idx = int(derive_rng(73, seed, 2).integers(200))
     test = build_test_set(500, -2, 2, target, derive_rng(73, seed, 3))
     budget = 60
@@ -147,12 +141,11 @@ def test_extended_surrogate_selects_as_refit_surrogate(seed):
         StrategySpec("direct_mse"),
         StrategySpec("upper_bound", gradient_bound=gradient_bound(target, -2, 2)),
     ):
-        trace = run_al(BprLearner(1, 1.0), strategy, oracle, pool, init_idx, test, budget,
+        trace = run_al(BprLearner(1, 1.0), strategy, pool, labels, init_idx, test, budget,
                        derive_rng(73, seed, 4))
-        got = np.array([r.chosen_x for r in trace.records[1:]])
-        want = _refit_surrogate_choices(BprLearner(1, 1.0), strategy, oracle, pool,
+        want = _refit_surrogate_choices(BprLearner(1, 1.0), strategy, labels, pool,
                                         init_idx, budget)
-        np.testing.assert_array_equal(got, want, err_msg=strategy.kind)
+        np.testing.assert_array_equal(trace.chosen_x, want, err_msg=strategy.kind)
 
 
 class TestOracles:
@@ -162,10 +155,6 @@ class TestOracles:
         x = np.array([0.5])
         assert oracle.label(3, x) == oracle.label(3, x)
         assert oracle.label(3, x) != oracle.label(4, x)
-
-    def test_table_oracle_returns_stored_rows(self):
-        oracle = TableOracle([10.0, 20.0, 30.0])
-        assert oracle.label(2, np.array([999.0])) == 30.0
 
 
 class TestTestMse:
@@ -188,9 +177,9 @@ class TestTestMse:
             return self.model
 
     def _recorded_mse(self, model, test):
-        trace = run_al(self._FixedLearner(model), StrategySpec("random"), TableOracle([0.0]),
-                       build_pool(2, -1, 1), 0, test, 0, derive_rng(71, 0))
-        return trace.records[0].test_mse
+        trace = run_al(self._FixedLearner(model), StrategySpec("random"),
+                       build_pool(2, -1, 1), np.zeros(2), 0, test, 0, derive_rng(71, 0))
+        return trace.test_mse[0]
 
     def test_perfect_model_scores_zero_vs_clean(self):
         test = HoldoutSet(np.linspace(-1, 1, 5)[:, None], np.zeros(5), np.arange(5.0))
@@ -221,26 +210,25 @@ class TestTestMse:
 
 
 def test_paired_runs_share_step_zero():
-    _, oracle, pool, init, test = _setup(seed=5)
+    _, labels, pool, init, test = _setup(seed=5)
     traces = {}
     for si, kind in enumerate(("variance", "random")):
-        traces[kind] = run_al(BprLearner(2, 1.0), StrategySpec(kind), oracle, pool,
+        traces[kind] = run_al(BprLearner(2, 1.0), StrategySpec(kind), pool, labels,
                               init, test, 3, derive_rng(70, 5, 4, 0, si))
-    a, b = traces["variance"].records[0], traces["random"].records[0]
-    assert (a.test_mse, a.bias, a.variance) == (b.test_mse, b.bias, b.variance)
-    assert a.chosen_x is None and b.chosen_x is None
+    a, b = traces["variance"], traces["random"]
+    assert (a.test_mse[0], a.bias[0], a.variance[0]) == (b.test_mse[0], b.bias[0], b.variance[0])
 
 
-class _RecordingOracle:
-    """Table labels; remembers which indices were queried, in order."""
+class _RecordingLearner:
+    """A degree-1 polynomial learner that remembers the data of every fit."""
 
-    def __init__(self, n):
-        self._table = TableOracle(np.sin(np.arange(n)))
-        self.queried = []
+    def __init__(self):
+        self._learner = BprLearner(1, 1.0)
+        self.fits = []
 
-    def label(self, index, x):
-        self.queried.append(index)
-        return self._table.label(index, x)
+    def fit(self, xs, ys):
+        self.fits.append((xs.copy(), np.array(ys, dtype=float)))
+        return self._learner.fit(xs, ys)
 
 
 @st.composite
@@ -256,16 +244,25 @@ def _index_runs(draw):
 def test_each_label_is_a_distinct_pool_candidate(case):
     n, init_idx, kind, budget = case
     pool = build_pool(n, -2, 2)
+    labels = np.sin(np.arange(n))
     spec = StrategySpec(kind, gradient_bound=3.0 if kind == "upper_bound" else None)
     test = build_test_set(10, -2, 2, sample_target(2, derive_rng(74, 0)), derive_rng(74, 1))
-    oracle = _RecordingOracle(n)
-    trace = run_al(BprLearner(1, 1.0), spec, oracle, pool, init_idx, test, budget,
-                   derive_rng(74, 2))
-    queried = oracle.queried
-    assert queried[0] == init_idx and len(queried) == budget + 1
-    assert len(set(queried)) == len(queried)
-    assert all(0 <= i < n for i in queried)
-    for rec, index in zip(trace.records[1:], queried[1:]):
-        np.testing.assert_array_equal(rec.chosen_x, pool[index])
+    learner = _RecordingLearner()
+    trace = run_al(learner, spec, pool, labels, init_idx, test, budget, derive_rng(74, 2))
+    # the pool rows are distinct, so each fitted row names its candidate
+    assert len(learner.fits) == budget + 1
+    for size, (xs, ys) in enumerate(learner.fits, start=1):
+        assert xs.shape == (size, 1) and ys.shape == (size,)
+        rows = [int(np.flatnonzero(pool[:, 0] == x)[0]) for x in xs[:, 0]]
+        np.testing.assert_array_equal(ys, labels[rows])
+        # each fit adds the step's chosen candidate to the previous fit's rows
+        if size > 1:
+            np.testing.assert_array_equal(xs[:-1], learner.fits[size - 2][0])
+            np.testing.assert_array_equal(xs[-1], trace.chosen_x[size - 2])
+    assert learner.fits[0][0][0, 0] == pool[init_idx, 0]
+    chosen = trace.chosen_x[:, 0]
+    assert trace.chosen_x.shape == (budget, 1)
+    assert len(set(chosen)) == budget and pool[init_idx, 0] not in chosen
+    assert set(chosen) <= set(pool[:, 0])
     if budget == n - 1:
-        assert sorted(queried) == list(range(n))
+        assert sorted([pool[init_idx, 0], *chosen]) == list(pool[:, 0])

@@ -6,7 +6,6 @@ import pytest
 
 from ual_lab.errors import ConfigError
 from ual_lab.expcli import (
-    RunKey,
     SUMMARY_HEADER,
     TRACES_HEADER,
     emit,
@@ -118,20 +117,17 @@ class TestRunExperiment:
     def test_degenerate_single_seed_zero_budget(self):
         cfg = parse_config_dict(_small_config(n_seeds=1, budget=0))
         res = run_experiment(cfg)
-        for strategy in ("variance", "random"):
-            means, stds = res.summary[("bpr_deg2", strategy)]
-            assert means.shape == (1,)
-            assert stds[0] == 0.0
-            trace = res.traces[RunKey(0, "bpr_deg2", strategy)]
-            assert means[0] == trace.records[0].test_mse
+        assert res.test_mse.shape == (1, 1, 2, 1)
+        for si, strategy in enumerate(("variance", "random")):
+            trace = res.runs[0]["bpr_deg2"][strategy]
+            assert trace.chosen_x.shape == (0, 1)
+            assert res.test_mse[0, 0, si, 0] == trace.test_mse[0]
 
     def test_paired_step_zero_identical(self):
         cfg = parse_config_dict(_small_config())
         res = run_experiment(cfg)
-        for seed in range(cfg.n_seeds):
-            a = res.traces[RunKey(seed, "bpr_deg2", "variance")].records[0]
-            b = res.traces[RunKey(seed, "bpr_deg2", "random")].records[0]
-            assert a.test_mse == b.test_mse
+        assert res.test_mse.shape == (cfg.n_seeds, 1, 2, cfg.budget + 1)
+        np.testing.assert_array_equal(res.test_mse[:, 0, 0, 0], res.test_mse[:, 0, 1, 0])
 
     def test_parallelism_changes_nothing(self, tmp_path):
         raw = _small_config()
@@ -157,10 +153,11 @@ class TestRunExperiment:
         del raw["pool"], raw["test"]
         cfg = parse_config_dict(raw)
         res = run_experiment(cfg)
-        trace = res.traces[RunKey(0, "gpr_rbf", "variance")]
-        assert len(trace.records) == 7
-        assert trace.records[1].chosen_x.shape == (8,)
-        assert all(np.isfinite(r.test_mse) for r in trace.records)
+        trace = res.runs[0]["gpr_rbf"]["variance"]
+        assert trace.test_mse.shape == (7,)
+        assert trace.chosen_x.shape == (6, 8)
+        assert trace.bias is None and trace.variance is None
+        assert np.all(np.isfinite(trace.test_mse))
         paths = emit(res, tmp_path / "ds", cfg)
         lines = (tmp_path / "ds" / "traces.csv").read_text().splitlines()
         # multivariate chosen_x is semicolon-joined inside the comma CSV
@@ -238,8 +235,7 @@ class TestDiscrepancyKind:
     def test_runs_and_emits(self, tmp_path):
         cfg = parse_config_dict(_discrepancy_config())
         res = run_experiment(cfg)
-        xs, matched_gap = res.discrepancy["bpr_deg3"]
-        _, low_gap = res.discrepancy["bpr_deg1"]
+        low_gap, matched_gap = res.gaps
         assert np.max(matched_gap) < 1e-8
         assert np.mean(low_gap) > 1e-3
         emit(res, tmp_path, cfg)
@@ -316,7 +312,8 @@ class TestCli:
             strategies=[{"kind": "direct_mse"}])))
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: run failed at RunKey(")
+        assert err.startswith("error: run failed at seed 0, model gpr_rbf, "
+                              "strategy direct_mse: ")
         assert "GP append" in err
 
     @pytest.mark.parametrize("split_keys, message", [
@@ -333,6 +330,40 @@ class TestCli:
         write_concrete_csv(data_path, n_rows=40)
         raw = _small_config(n_seeds=1, budget=2,
                             target={**_DATASET_TARGET, "path": str(data_path), **split_keys},
+                            models=[{"kind": "gpr", "kernel": {"kind": "rbf"}}])
+        del raw["pool"], raw["test"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("schema_text, csv_bytes, message", [
+        pytest.param("{not json", None, "schema.json: not valid JSON", id="schema-not-json"),
+        pytest.param("[1, 2]", None, "schema.json: must be a JSON object, not list",
+                     id="schema-not-object"),
+        pytest.param('{"delimiter": ",", "target": "csMPa", "features": "cement"}', None,
+                     "schema.json: features must be a list of strings, not 'cement'",
+                     id="features-not-list"),
+        pytest.param('{"delimiter": ",", "target": 5, "features": ["x"]}', None,
+                     "schema.json: target must be a string, not 5", id="target-not-string"),
+        pytest.param(None, b"cement,csMPa\n1.0,\xff\n", "c.csv: not UTF-8 text",
+                     id="csv-not-utf8"),
+    ])
+    def test_bad_dataset_input_exits_2(self, tmp_path, capsys, schema_text, csv_bytes,
+                                       message):
+        from conftest import write_concrete_csv
+        data_path = tmp_path / "c.csv"
+        write_concrete_csv(data_path, n_rows=40)
+        if csv_bytes is not None:
+            data_path.write_bytes(csv_bytes)
+        schema = "concrete"
+        if schema_text is not None:
+            schema = str(tmp_path / "schema.json")
+            (tmp_path / "schema.json").write_text(schema_text)
+        raw = _small_config(n_seeds=1, budget=2,
+                            target={**_DATASET_TARGET, "path": str(data_path),
+                                    "schema": schema},
                             models=[{"kind": "gpr", "kernel": {"kind": "rbf"}}])
         del raw["pool"], raw["test"]
         cfg_path = tmp_path / "cfg.json"
