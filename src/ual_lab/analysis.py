@@ -9,8 +9,10 @@ lower-order when its prior is the family's head block (the coordinates of
 1..x^p).
 
 Every closed form is evaluated on a grid ``xs`` for one set of training
-inputs: it builds the designs and the posterior covariance once, then
-evaluates the per-x expression at each grid point. The expected squared
+inputs: it builds the designs once and takes the posterior covariance from
+:func:`~ual_lab.bpr.posterior_update` (the covariance does not depend on
+the outputs) and the prior precision from the prior, then evaluates the
+per-x expression at each grid point. The expected squared
 error of the posterior-mean prediction (plus the posterior spread) has a
 nine-term closed form, which collapses to twice the predictive quadratic
 form when the model is matched, and to a six-term block expression when it
@@ -26,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bpr import BprPosterior, BprPrior, design_matrix, feature_map
+from .bpr import BprPosterior, BprPrior, design_matrix, feature_map, posterior_update
 from .errors import TruncationError
-from .linalg import chol_spd, chol_solve_vec, spd_inverse
+from .linalg import chol_spd
 
 __all__ = [
     "DecompositionReport",
@@ -48,14 +50,6 @@ _RATIO_GRID_POINTS = 20001  # grid for the density-ratio supremum
 _MASS_TOL = 1e-6          # probability mass allowed outside the truncated domain
 
 
-def _posterior_cov(prior: BprPrior, phi_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(posterior covariance, prior precision) given a design matrix."""
-    prior_precision = spd_inverse(prior.cov)
-    precision = prior_precision + (phi_hat.T @ phi_hat) / prior.noise_variance
-    cov = chol_solve_vec(chol_spd(precision), np.eye(prior.degree + 1))
-    return 0.5 * (cov + cov.T), prior_precision
-
-
 def _check_noise(family: BprPrior, prior: BprPrior) -> None:
     if not math.isclose(family.noise_variance, prior.noise_variance,
                         rel_tol=0.0, abs_tol=1e-12):
@@ -64,11 +58,6 @@ def _check_noise(family: BprPrior, prior: BprPrior) -> None:
 
 def _grid(xs) -> np.ndarray:
     return np.asarray(xs, dtype=float).reshape(-1)
-
-
-def _quadratic_forms(xs, degree: int, cov: np.ndarray) -> np.ndarray:
-    """phi(x, degree)^T cov phi(x, degree) at each x."""
-    return np.array([phi @ cov @ phi for phi in (feature_map(x, degree) for x in _grid(xs))])
 
 
 def closed_form_mse_terms(xs, family: BprPrior, prior: BprPrior, inputs) -> np.ndarray:
@@ -83,10 +72,10 @@ def closed_form_mse_terms(xs, family: BprPrior, prior: BprPrior, inputs) -> np.n
     sig2 = prior.noise_variance
     mu, sigma = family.mean, family.cov
     mu_hat = prior.mean
-    post_cov, prior_precision = _posterior_cov(prior, phi_hat)
+    post_cov = posterior_update(prior, inputs, np.zeros(np.size(inputs))).cov
 
     second_moment = np.outer(mu, mu) + sigma            # E[w w^T]
-    shrink = prior_precision @ mu_hat                    # Sigma_hat^{-1} mu_hat
+    shrink = prior.precision @ mu_hat                    # Sigma_hat^{-1} mu_hat
     a_vec = post_cov @ shrink                            # Sigma_p Sigma_hat^{-1} mu_hat
     cross = phi_hat.T @ phi_full                         # Phi_hat^T Phi
     gram = phi_hat.T @ phi_hat                           # Phi_hat^T Phi_hat
@@ -117,7 +106,8 @@ def closed_form_mse(xs, family: BprPrior, prior: BprPrior, inputs) -> np.ndarray
 
 def matched_mse(xs, post: BprPosterior) -> np.ndarray:
     """2 * phi^T Sigma_p phi at each x: the matched-model MSE, twice the spread."""
-    return 2.0 * _quadratic_forms(xs, post.degree, post.cov)
+    phis = (feature_map(x, post.degree) for x in _grid(xs))
+    return 2.0 * np.array([phi @ post.cov @ phi for phi in phis])
 
 
 def lower_order_mse(xs, family: BprPrior, prior: BprPrior, inputs
@@ -145,7 +135,7 @@ def lower_order_mse(xs, family: BprPrior, prior: BprPrior, inputs
     cov_cross = family.cov[p + 1:, : p + 1]              # complement x head
     m_second = family.cov[p + 1:, p + 1:] + np.outer(mean_c, mean_c)
 
-    post_cov, prior_precision = _posterior_cov(prior, phi_hat)
+    post_cov = posterior_update(prior, inputs, np.zeros(np.size(inputs))).cov
     head_to_c = phi_hat.T @ phi_c                        # Phi_hat^T Phi_c
 
     xs = _grid(xs)
@@ -156,9 +146,9 @@ def lower_order_mse(xs, family: BprPrior, prior: BprPrior, inputs
         sp_q = post_cov @ q_phi
         t1 = float(c_phi @ m_second @ c_phi)
         t2 = -(2.0 / sig2) * float(sp_q @ head_to_c @ m_second @ c_phi)
-        t3 = 2.0 * float(q_phi @ post_cov @ prior_precision @ cov_cross.T @ c_phi)
+        t3 = 2.0 * float(q_phi @ post_cov @ prior.precision @ cov_cross.T @ c_phi)
         t4 = (1.0 / sig2**2) * float(sp_q @ head_to_c @ m_second @ head_to_c.T @ sp_q)
-        t5 = -(2.0 / sig2) * float(sp_q @ head_to_c @ cov_cross @ prior_precision @ sp_q)
+        t5 = -(2.0 / sig2) * float(sp_q @ head_to_c @ cov_cross @ prior.precision @ sp_q)
         var_term = float(q_phi @ sp_q)
         p_term = t1 + t2 + t3 + t4 + t5
         out[:, i] = p_term + 2.0 * var_term, p_term, var_term
@@ -166,14 +156,13 @@ def lower_order_mse(xs, family: BprPrior, prior: BprPrior, inputs
 
 
 def variance_proxy_gap(xs, family: BprPrior, prior: BprPrior, inputs) -> np.ndarray:
-    """|closed-form MSE - 2 * posterior quadratic form| at each x.
+    """|closed-form MSE - matched-model MSE| at each x.
 
     Zero (to rounding) exactly when the model matches the family; strictly
     positive at generic x for lower-order models.
     """
-    mse = closed_form_mse(xs, family, prior, inputs)
-    post_cov, _ = _posterior_cov(prior, design_matrix(inputs, prior.degree))
-    return np.abs(mse - 2.0 * _quadratic_forms(xs, prior.degree, post_cov))
+    post = posterior_update(prior, inputs, np.zeros(np.size(inputs)))
+    return np.abs(closed_form_mse(xs, family, prior, inputs) - matched_mse(xs, post))
 
 
 @dataclass(frozen=True)
@@ -194,9 +183,9 @@ def _affine_predictor(x: float, prior: BprPrior, inputs) -> tuple[float, float, 
     """
     phi_hat = design_matrix(inputs, prior.degree)
     phi_p = feature_map(x, prior.degree)
-    post_cov, prior_precision = _posterior_cov(prior, phi_hat)
+    post_cov = posterior_update(prior, inputs, np.zeros(np.size(inputs))).cov
     spread = float(phi_p @ post_cov @ phi_p)
-    base = float(phi_p @ post_cov @ prior_precision @ prior.mean)
+    base = float(phi_p @ post_cov @ prior.precision @ prior.mean)
     v = (phi_hat @ (post_cov @ phi_p)) / prior.noise_variance
     return spread, base, v
 
@@ -223,7 +212,7 @@ def mc_bias_variance(
     variance, base, v = _affine_predictor(x, prior, inputs)
     phi_full = design_matrix(inputs, family.degree)
     phi_l = feature_map(x, family.degree)
-    family_chol = np.linalg.cholesky(family.cov)
+    family_chol = chol_spd(family.cov)
     sigma = math.sqrt(family.noise_variance)
 
     batch_means = np.empty(_MC_BATCHES)

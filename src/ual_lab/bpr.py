@@ -8,11 +8,11 @@ variance is known and never estimated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import chol_spd, chol_solve_vec, spd_inverse
+from .linalg import chol_spd, chol_solve_vec
 
 __all__ = [
     "BprPrior",
@@ -40,12 +40,16 @@ def design_matrix(xs, degree: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BprPrior:
-    """Gaussian coefficient prior N(mean, cov) with known noise variance."""
+    """Gaussian coefficient prior N(mean, cov) with known noise variance.
+
+    ``precision``, the symmetrized inverse of ``cov``, is derived on construction.
+    """
 
     degree: int
     mean: np.ndarray
     cov: np.ndarray
     noise_variance: float
+    precision: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float).reshape(-1)
@@ -57,11 +61,13 @@ class BprPrior:
             raise ValueError(f"prior cov must be {k}x{k}")
         if not np.allclose(cov, cov.T, atol=1e-12):
             raise ValueError("prior cov must be symmetric")
-        np.linalg.cholesky(cov)  # rejects non-PD covariance
+        lower = np.linalg.cholesky(cov)  # rejects non-PD covariance
         if self.noise_variance <= 0:
             raise ValueError("noise_variance must be > 0")
+        precision = chol_solve_vec(lower, np.eye(k))
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "precision", 0.5 * (precision + precision.T))
 
 
 @dataclass(frozen=True)
@@ -97,12 +103,11 @@ def posterior_update(prior: BprPrior, xs, ys) -> BprPosterior:
     if xs.size == 0:
         return BprPosterior(prior.degree, prior.mean.copy(), prior.cov.copy(),
                             prior.noise_variance)
-    prior_precision = spd_inverse(prior.cov)
-    precision = prior_precision + (phi.T @ phi) / prior.noise_variance
+    precision = prior.precision + (phi.T @ phi) / prior.noise_variance
     lower = chol_spd(precision)
     cov = chol_solve_vec(lower, np.eye(prior.degree + 1))
     cov = 0.5 * (cov + cov.T)
-    rhs = prior_precision @ prior.mean + (phi.T @ ys) / prior.noise_variance
+    rhs = prior.precision @ prior.mean + (phi.T @ ys) / prior.noise_variance
     mean = chol_solve_vec(lower, rhs)
     return BprPosterior(prior.degree, mean, cov, prior.noise_variance)
 

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from .acquisition import DIRECT_MSE, RANDOM, UPPER_BOUND, VARIANCE, StrategySpec
 from .errors import ConfigError
-from .gpr import KernelSpec
+from .gpr import LINEAR, MATERN52, RBF, KernelSpec
 from .synthetic import POLYNOMIAL_PLUS_COSINE, PURE_POLYNOMIAL
 
 __all__ = [
@@ -121,9 +122,9 @@ class Section:
     ``table`` maps each JSON key, also a field name of ``cls``, to
     ``(type, default, rule)``. A type is ``int``, ``float``, ``str`` or
     ``bool`` (or a tuple of these), a Section, a dict of sections keyed by the
-    object's ``kind``, or ``[type]`` for a non-empty list. A default is
-    ``REQUIRED`` or JSON data, read like a given value. A rule is None or
-    ``(predicate, message shown when it fails)``.
+    object's ``kind``, or ``[type]`` for a non-empty list; a ``float`` must be
+    finite. A default is ``REQUIRED`` or JSON data, read like a given value. A
+    rule is None or ``(predicate, message shown when it fails)``.
     """
 
     cls: type
@@ -150,6 +151,9 @@ def _read(tp, value, path: str):
         accepted = (int, float) if scalar is float else scalar
         # an integer is also a number; a boolean is nothing but a boolean
         if isinstance(value, accepted) and isinstance(value, bool) == (scalar is bool):
+            # NaN, the infinities and integers beyond the float range fail this
+            if scalar is float and not abs(value) <= sys.float_info.max:
+                raise ConfigError(f"{path}: expected a finite number, got {value!r}")
             return float(value) if scalar is float else value
     names = " or ".join(_SCALAR_NAMES[scalar] for scalar in scalars)
     raise ConfigError(f"{path}: expected {names}, got {value!r}")
@@ -183,7 +187,7 @@ def _read_kind(sections: dict, raw: dict, path: str, default=REQUIRED):
     section = sections.get(kind) if isinstance(kind, str) else None
     if section is None:
         raise ConfigError(f"{_key_path(path, 'kind')}: unknown kind {kind!r}")
-    # targets carry their kind in their type, models and strategies in a field
+    # targets carry their kind in their type; models, strategies and kernels in a field
     given = {"kind": kind} if "kind" in section.cls.__dataclass_fields__ else {}
     return _read_section(section, raw, path, **given)
 
@@ -213,13 +217,13 @@ def _one_of(*names):
     return (lambda v: v in names), "must be " + " or ".join(map(repr, names))
 
 
-KERNEL = Section(KernelSpec, {
-    "kind": (str, REQUIRED, None),
-    "amplitude": (float, 1.0, None),
-    "lengthscale": (float, 1.0, None),
-    "bias": (float, 1.0, None),
-    "weight": (float, 1.0, None),
-})
+_STATIONARY = Section(KernelSpec, {"amplitude": (float, 1.0, None),
+                                   "lengthscale": (float, 1.0, None)})
+KERNEL = {
+    LINEAR: Section(KernelSpec, {"bias": (float, 1.0, None), "weight": (float, 1.0, None)}),
+    RBF: _STATIONARY,
+    MATERN52: _STATIONARY,
+}
 
 TARGET = {
     "synthetic": Section(SyntheticTargetSpec, {
@@ -339,6 +343,8 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

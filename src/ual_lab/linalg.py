@@ -16,7 +16,7 @@ from .errors import NumericalError
 _JITTER_START = 1e-10
 _JITTER_CEIL = 1e-6
 
-__all__ = ["chol_spd", "spd_inverse", "chol_solve_vec", "solve_lower"]
+__all__ = ["chol_spd", "chol_solve_vec", "solve_lower"]
 
 
 def chol_spd(a: np.ndarray) -> np.ndarray:
@@ -45,13 +45,6 @@ def chol_spd(a: np.ndarray) -> np.ndarray:
 def chol_solve_vec(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``L L^T x = b`` given the lower factor."""
     return cho_solve((lower, True), b)
-
-
-def spd_inverse(a: np.ndarray) -> np.ndarray:
-    """Symmetrized inverse of an SPD matrix via Cholesky."""
-    lower = chol_spd(a)
-    inv = cho_solve((lower, True), np.eye(a.shape[0]))
-    return 0.5 * (inv + inv.T)
 
 
 def solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -69,6 +69,24 @@ class TestPosteriorUpdate:
         gap = np.linalg.inv(post.cov) - np.linalg.inv(prior.cov)
         assert np.linalg.eigvalsh(0.5 * (gap + gap.T)).min() > -1e-8
 
+    def test_precision_inverts_correlated_prior(self):
+        rng = derive_rng(27, 0)
+        a = rng.standard_normal((4, 4))
+        prior = BprPrior(3, rng.standard_normal(4), a @ a.T + 0.5 * np.eye(4), 1.0)
+        np.testing.assert_allclose(prior.precision @ prior.cov, np.eye(4), atol=1e-10)
+        np.testing.assert_array_equal(prior.precision, prior.precision.T)
+
+    def test_cov_does_not_depend_on_outputs(self):
+        # the closed forms in analysis take the covariance from a zero-output update
+        rng = derive_rng(28, 0)
+        a = rng.standard_normal((3, 3))
+        prior = BprPrior(2, rng.standard_normal(3), a @ a.T + 0.5 * np.eye(3), 0.7)
+        xs = rng.uniform(-2, 2, 15)
+        zero = posterior_update(prior, xs, np.zeros(15))
+        noisy = posterior_update(prior, xs, 5.0 * rng.standard_normal(15))
+        np.testing.assert_array_equal(zero.cov, noisy.cov)
+        assert not np.array_equal(zero.mean, noisy.mean)
+
     def test_rejects_non_spd_prior(self):
         with pytest.raises(np.linalg.LinAlgError):
             BprPrior(1, np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 1.0)

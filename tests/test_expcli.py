@@ -84,6 +84,27 @@ class TestParseConfig:
                      "test: unknown key 'layout'", id="test-layout-removed"),
         pytest.param({"target": {"kind": "synthetic", "order": 3, "noise_variance": 0}},
                      "target.noise_variance:", id="bpr-noiseless-target"),
+        pytest.param({"models": [{"kind": "gpr", "kernel": {"kind": "linear", "amplitude": 99,
+                                                             "lengthscale": 0.01}}]},
+                     "models[0].kernel: unknown key 'amplitude'", id="linear-kernel-amplitude"),
+        pytest.param({"models": [{"kind": "gpr", "kernel": {"kind": "rbf", "bias": 2.0}}]},
+                     "models[0].kernel: unknown key 'bias'", id="rbf-kernel-bias"),
+        pytest.param({"strategies": [{"kind": "direct_mse",
+                                      "surrogate_kernel": {"kind": "matern52", "weight": 3}}]},
+                     "strategies[0].surrogate_kernel: unknown key 'weight'",
+                     id="matern-surrogate-weight"),
+        pytest.param({"models": [{"kind": "gpr", "kernel": {"kind": "poly"}}]},
+                     "models[0].kernel.kind: unknown kind 'poly'", id="unknown-kernel-kind"),
+        pytest.param({"target": {"kind": "synthetic", "order": 3, "family":
+                                 "polynomial-plus-cosine", "cosine_amplitude": float("nan")}},
+                     "target.cosine_amplitude: expected a finite number", id="nan-number"),
+        pytest.param({"target": {"kind": "synthetic", "order": 3,
+                                 "noise_variance": float("inf")}},
+                     "target.noise_variance: expected a finite number", id="infinite-number"),
+        pytest.param({"pool": {"n": 20, "lo": -2.0, "hi": float("inf")}},
+                     "pool.hi: expected a finite number", id="infinite-span-end"),
+        pytest.param({"pool": {"n": 20, "lo": -2.0, "hi": 10**400}},
+                     "pool.hi: expected a finite number", id="integer-beyond-float-range"),
     ])
     def test_malformed_config_names_key(self, overrides, key_path):
         with pytest.raises(ConfigError) as info:
@@ -273,6 +294,13 @@ class TestCli:
         for command in ("validate", "run"):
             assert main([command, "--config", str(cfg_path)]) == 2
             assert capsys.readouterr().err.startswith("error: output_dir")
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b'{"experiment_id": "unit", "description": "caf\xe9"}')  # Latin-1
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(cfg_path)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {cfg_path}: not UTF-8 text")
 
     def test_run_writes_outputs(self, tmp_path, capsys, monkeypatch):
         cfg_path = tmp_path / "cfg.json"
