@@ -10,17 +10,23 @@ acquired, not in what order. The surrogate GP of ``direct_mse`` and
 Cholesky row per label (:func:`gpr.gp_append`).
 Both learners return a :class:`FittedModel`, the one type the loop and
 the acquisition scores predict through.
+
+A polynomial posterior N(m, S) has predictive variance
+phi(x)^T S phi(x) + sigma^2 (Bishop 2006, PRML 3.3.2), so its mean over
+the N test inputs is tr(S G) + sigma^2 with G = Phi^T Phi / N fixed for
+the run: a BPR step's test terms cost O(k^2) whatever N is. A GP run
+still predicts over the test inputs at every step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import acquisition as acq
-from .bpr import BprPosterior, default_prior, posterior_update, predictive_batch
+from .bpr import BprPosterior, default_prior, design_matrix, posterior_update, predictive_batch
 from .gpr import (
     GpModel,
     KernelSpec,
@@ -72,7 +78,10 @@ class SyntheticOracle:
         self._sigma = float(np.sqrt(target.noise_variance))
 
     def label(self, index: int, x: np.ndarray) -> float:
-        clean = eval_target(self.target, float(np.asarray(x).reshape(-1)[0]))
+        x = np.asarray(x, dtype=float)
+        if x.size != 1:
+            raise ValueError(f"a synthetic target is univariate; got x of shape {x.shape}")
+        clean = eval_target(self.target, x.item())
         eps = derive_rng(self._master_seed, *self._path, index).standard_normal()
         return float(clean + self._sigma * eps)
 
@@ -170,7 +179,8 @@ def run_al(
     active = np.ones(n, dtype=bool)
     active[init_index] = False
     model = learner.fit(candidates[labeled], labels[labeled])
-    terms = [_bias_spread(model, test)]
+    bias_spread = _bias_spread(test, model)
+    terms = [bias_spread(model)]
     surrogate = None
     if strategy.kind in (acq.DIRECT_MSE, acq.UPPER_BOUND):
         surrogate = gp_fit(strategy.surrogate_kernel, candidates[labeled], labels[labeled],
@@ -197,7 +207,7 @@ def run_al(
         if surrogate is not None:
             surrogate = gp_append(surrogate, candidates[chosen], labels[chosen])
         model = learner.fit(candidates[labeled], labels[labeled])
-        terms.append(_bias_spread(model, test))
+        terms.append(bias_spread(model))
 
     bias, variance = np.array(terms).T
     clean = test.clean_outputs is not None
@@ -205,13 +215,35 @@ def run_al(
                     bias if clean else None, variance if clean else None)
 
 
-def _bias_spread(model, test: TestSet) -> tuple[float, float]:
-    """Test MSE per point split in two: (target - predictive mean)^2 and the
-    posterior spread (predictive variance minus the noise floor), averaged.
-    The targets are the noiseless ones when the test set has them."""
+def _bias_spread(test: TestSet, model) -> Callable[[object], tuple[float, float]]:
+    """The step recorder of a run whose first fitted model is ``model``.
+
+    It maps a fitted model to its test MSE per point split in two:
+    (target - predictive mean)^2 and the posterior spread (predictive
+    variance minus the noise floor), averaged. The targets are the
+    noiseless ones when the test set has them. For a polynomial posterior
+    N(m, S) the test design Phi and G = Phi^T Phi / N are built once: the
+    bias is mean((targets - Phi m)^2), as :func:`bpr.predictive_batch`
+    computes it, and the spread is tr(S G). A GP predicts over the test
+    inputs at each step.
+    """
     targets = test.observed_outputs if test.clean_outputs is None else test.clean_outputs
     if len(targets) == 0:
         raise ValueError("test set is empty")
-    means, variances = model.predict_batch(test.inputs)
-    return (float(np.mean((targets - means) ** 2)),
-            float(np.mean(variances - model.noise_variance)))
+    if isinstance(model, FittedModel) and isinstance(model.posterior, BprPosterior):
+        if test.inputs.shape[1] != 1:
+            raise ValueError("polynomial models are univariate")
+        phi = design_matrix(test.inputs[:, 0], model.posterior.degree)
+        gram = phi.T @ phi / len(targets)
+
+        def polynomial_terms(model) -> tuple[float, float]:
+            post = model.posterior
+            return (float(np.mean((targets - phi @ post.mean) ** 2)),
+                    float(np.sum(gram * post.cov)))
+        return polynomial_terms
+
+    def predicted_terms(model) -> tuple[float, float]:
+        means, variances = model.predict_batch(test.inputs)
+        return (float(np.mean((targets - means) ** 2)),
+                float(np.mean(variances - model.noise_variance)))
+    return predicted_terms

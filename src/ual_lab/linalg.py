@@ -9,7 +9,8 @@ escalating tenfold up to 1e-6*(trace/dim), then give up loudly.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrs
 
 from .errors import NumericalError
 
@@ -43,8 +44,18 @@ def chol_spd(a: np.ndarray) -> np.ndarray:
 
 
 def chol_solve_vec(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``L L^T x = b`` given the lower factor."""
-    return cho_solve((lower, True), b)
+    """Solve ``L L^T x = b`` given the lower factor; ``b`` is a vector or a matrix.
+
+    LAPACK ``dpotrs`` called directly: the routine behind
+    ``scipy.linalg.cho_solve``, bit for bit, without its wrapper's
+    overhead. Non-finite input raises ``ValueError``, as there.
+    """
+    if not (np.isfinite(lower).all() and np.isfinite(b).all()):
+        raise ValueError("Cholesky solve: the factor or the right-hand side is not finite")
+    x, info = dpotrs(lower, b, lower=1)
+    if info != 0:
+        raise ValueError(f"Cholesky solve: dpotrs rejected argument {-info}")
+    return x
 
 
 def solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:

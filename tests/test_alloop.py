@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from ual_lab import acquisition as acq
 from ual_lab.acquisition import StrategySpec
-from ual_lab.alloop import BprLearner, GprLearner, SyntheticOracle, run_al
+from ual_lab.alloop import BprLearner, GprLearner, SyntheticOracle, _bias_spread, run_al
 from ual_lab.gpr import KernelSpec, gp_fit
 from ual_lab.rng import derive_rng
 from ual_lab.synthetic import TestSet as HoldoutSet
@@ -156,6 +156,13 @@ class TestOracles:
         assert oracle.label(3, x) == oracle.label(3, x)
         assert oracle.label(3, x) != oracle.label(4, x)
 
+    def test_synthetic_label_needs_exactly_one_coordinate(self):
+        oracle = SyntheticOracle(sample_target(2, derive_rng(71, 0)), 71, (0, 1))
+        for x in (np.array([0.5, 1.0]), np.full((2, 1), 0.5), np.array([])):
+            with pytest.raises(ValueError, match="univariate"):
+                oracle.label(3, x)
+        assert oracle.label(3, np.array([[0.5]])) == oracle.label(3, 0.5)
+
 
 class TestTestMse:
     """The test MSE that ``run_al`` records at step 0 for a given fitted model."""
@@ -207,6 +214,32 @@ class TestTestMse:
         test = HoldoutSet(np.zeros((3, 1)), np.full(3, 2.0), None)
         model = self._PerfectModel(np.zeros(3))
         assert self._recorded_mse(model, test) == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("clean", [True, False], ids=["clean", "observed"])
+@pytest.mark.parametrize("degree", range(6))
+def test_step_terms_match_test_set_predictions(degree, clean):
+    # the per-run test Gram gives the terms that predicting every test row gives
+    _, labels, pool, init, test = _setup(seed=degree, pool_n=30, test_n=200)
+    if not clean:
+        test = HoldoutSet(test.inputs, test.observed_outputs, None)
+    targets = test.clean_outputs if clean else test.observed_outputs
+    learner = BprLearner(degree, 1.0)
+    trace = run_al(learner, StrategySpec("variance"), pool, labels, init, test, 15,
+                   derive_rng(70, degree, 4))
+    order = [init] + [int(np.flatnonzero(pool[:, 0] == x)[0]) for x in trace.chosen_x[:, 0]]
+    models = [learner.fit(pool[order[:k]], labels[order[:k]]) for k in range(1, len(order) + 1)]
+    record = _bias_spread(test, models[0])
+    for step, model in enumerate(models):
+        means, variances = model.predict_batch(test.inputs)
+        bias = float(np.mean((targets - means) ** 2))
+        spread = float(np.mean(variances - model.noise_variance))
+        got_bias, got_spread = record(model)
+        assert got_bias == bias
+        assert got_spread == pytest.approx(spread, rel=1e-12, abs=0.0)
+        assert trace.test_mse[step] == pytest.approx(bias + spread, rel=1e-12, abs=0.0)
+        if clean:
+            assert (trace.bias[step], trace.variance[step]) == (got_bias, got_spread)
 
 
 def test_paired_runs_share_step_zero():
