@@ -6,7 +6,7 @@ class UalLabError(Exception):
 
 
 class NumericalError(UalLabError):
-    """A matrix factorization failed even after bounded jitter escalation."""
+    """A matrix that must be positive definite is not; no jitter is added."""
 
 
 class ConfigError(UalLabError):

@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .alloop import BprLearner, GprLearner, RunTrace, SyntheticOracle, run_al
@@ -42,6 +43,7 @@ from .config import (
 )
 from .datasets import TabularDataset, apply_standardizer, fit_standardizer, load_csv, split
 from .errors import ConfigError, UalLabError
+from .linalg import one_blas_thread
 from .rng import derive_rng
 from .svg import Series, line_chart
 from .synthetic import TestSet, build_pool, build_test_set, gradient_bound, sample_target
@@ -70,11 +72,13 @@ class AggregateResults:
     An al_curves run fills ``runs[seed][model_id][strategy_id]`` and
     ``test_mse``, shaped (seeds, models, strategies, budget + 1) in config
     order; a discrepancy run fills ``gaps``, the (models, grid) mean gaps.
+    ``runtime`` is the setup the run had: versions, cores, workers, OpenBLAS.
     """
 
     runs: Optional[list] = None
     test_mse: Optional[np.ndarray] = None
     gaps: Optional[np.ndarray] = None
+    runtime: Optional[dict] = None
 
 
 def _make_learner(spec: ModelSpec, noise_variance: float):
@@ -176,25 +180,31 @@ def run_experiment(cfg: ExperimentConfig,
                    data: Optional[TabularDataset] = None) -> AggregateResults:
     """Run every (seed, model, strategy) combination and aggregate.
 
-    Seeds fan out to a process pool of size ``cfg.parallelism``; results
-    are folded in seed order, so outputs do not depend on the pool size.
+    Seeds fan out to min(``cfg.parallelism``, cores, seeds) worker processes
+    and fold in seed order; BLAS runs on one thread (the caller's counts are
+    restored), so outputs depend on neither the pool size nor the cores.
     """
     if isinstance(cfg.target, DatasetTargetSpec) and data is None and cfg.kind == "al_curves":
         data = load_csv(cfg.target.path, cfg.target.schema)
     payloads = [(cfg, seed, data) for seed in range(cfg.n_seeds)]
-    if cfg.parallelism > 1 and cfg.n_seeds > 1:
-        with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
-            results = list(pool.map(_seed_worker, payloads))
-    else:
-        results = [_seed_worker(p) for p in payloads]
+    cores = len(os.sched_getaffinity(0))
+    workers = min(cfg.parallelism, cores, cfg.n_seeds)
+    with one_blas_thread() as openblas:  # forked workers inherit the one thread
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_seed_worker, payloads))
+        else:
+            results = [_seed_worker(p) for p in payloads]
     results.sort(key=lambda item: item[0])
     per_seed = [value for _, value in results]
+    runtime = {"numpy": np.__version__, "scipy": scipy.__version__, "cores": cores,
+               "workers": workers, "openblas": openblas}
 
     if cfg.kind == "discrepancy":
-        return AggregateResults(gaps=np.stack(per_seed).mean(axis=0))
+        return AggregateResults(gaps=np.stack(per_seed).mean(axis=0), runtime=runtime)
     test_mse = np.array([[[runs[m][s].test_mse for s in cfg.strategy_ids]
                           for m in cfg.model_ids] for runs in per_seed])
-    return AggregateResults(per_seed, test_mse)
+    return AggregateResults(per_seed, test_mse, runtime=runtime)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +293,7 @@ def emit(results: AggregateResults, out_dir: str | Path, cfg: ExperimentConfig,
     meta = {
         "artifact_version": __version__,
         "config": config_to_dict(cfg),
+        "runtime": results.runtime,
         "wall_time_s": wall_time_s,
     }
     meta_path = out / "meta.json"

@@ -1,10 +1,15 @@
+import ctypes
+import importlib
 import json
+import os
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from ual_lab.errors import ConfigError
+from ual_lab import expcli, linalg
+from ual_lab.errors import ConfigError, NumericalError
 from ual_lab.expcli import (
     SUMMARY_HEADER,
     TRACES_HEADER,
@@ -331,18 +336,31 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     def test_numerical_error_in_a_run_exits_2(self, tmp_path, capsys):
-        # a noiseless target gives the GP surrogate a zero pivot within 30 labels
+        # a noiseless target gives the GP surrogate (rbf, lengthscale 0.5) a zero
+        # pivot within 30 labels; the short-lengthscale model's own Gram stays PD
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(_small_config(
             n_seeds=1, budget=30, pool={"n": 200, "lo": -2.0, "hi": 2.0},
             target={"kind": "synthetic", "order": 3, "noise_variance": 0},
-            models=[{"kind": "gpr", "kernel": {"kind": "rbf"}}],
+            models=[{"kind": "gpr", "kernel": {"kind": "rbf", "lengthscale": 0.05}}],
             strategies=[{"kind": "direct_mse"}])))
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: run failed at seed 0, model gpr_rbf, "
                               "strategy direct_mse: ")
         assert "GP append" in err
+
+    def test_noiseless_linear_gp_exits_2_naming_the_run(self, tmp_path, capsys):
+        # a linear kernel in one dimension has rank 2, so without noise the Gram
+        # matrix of three or more points is singular; nothing adds jitter
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_small_config(
+            n_seeds=2, budget=60, pool={"n": 200, "lo": -2.0, "hi": 2.0},
+            target={"kind": "synthetic", "order": 3, "noise_variance": 0},
+            models=[{"kind": "gpr", "kernel": {"kind": "linear"}}])))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert re.match(r"error: run failed at seed 0, model gpr_linear, strategy variance: "
+                        r"Cholesky failed for (\d+)x\1 matrix", capsys.readouterr().err)
 
     @pytest.mark.parametrize("split_keys, message", [
         pytest.param({"subsample": 600}, "subsample 600 exceeds the dataset's 40 rows",
@@ -404,3 +422,120 @@ class TestCli:
         monkeypatch.chdir(tmp_path)  # the shipped relative data path does not exist here
         assert main(["run", "--config", "fig9_concrete", "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: dataset file not found")
+
+
+_GET_THREADS = (("numpy._core._multiarray_umath", "scipy_openblas_get_num_threads64_"),
+                ("scipy.linalg._flapack", "scipy_openblas_get_num_threads"))
+
+
+def _blas_threads() -> list:
+    """The thread counts of numpy's and scipy's OpenBLAS, read by their own symbols."""
+    counts = []
+    for module, symbol in _GET_THREADS:
+        get = getattr(ctypes.CDLL(importlib.import_module(module).__file__), symbol)
+        get.argtypes, get.restype = [], ctypes.c_int
+        counts.append(get())
+    return counts
+
+
+def _set_blas_threads(counts: list) -> None:
+    for (module, symbol), n in zip(_GET_THREADS, counts):
+        put = getattr(ctypes.CDLL(importlib.import_module(module).__file__),
+                      symbol.replace("_get_", "_set_"))
+        put.argtypes, put.restype = [ctypes.c_int], None
+        put(n)
+
+
+class _SerialPool:
+    """Stands in for the process pool: records its size, maps in this process."""
+
+    sizes: list = []  # each test patches in its own list
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestBlasThreads:
+    @pytest.fixture
+    def caller_threads(self):
+        """The caller runs on 3 BLAS threads, so a restored count is not a default."""
+        prior = _blas_threads()
+        _set_blas_threads([3, 3])
+        yield [3, 3]
+        _set_blas_threads(prior)
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_one_thread_in_every_process_of_a_run(self, parallelism, tmp_path, monkeypatch,
+                                                  caller_threads):
+        # each run_al call, in this process or a forked worker, logs its pid and counts
+        run_al = expcli.run_al
+
+        def logged_run_al(*args):
+            with open(tmp_path / f"{os.getpid()}.log", "a") as log:
+                log.write(json.dumps(_blas_threads()) + "\n")
+            return run_al(*args)
+
+        monkeypatch.setattr(expcli, "run_al", logged_run_al)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        run_experiment(parse_config_dict(_small_config(n_seeds=2, parallelism=parallelism)))
+        logs = {int(p.stem): p.read_text().splitlines() for p in tmp_path.glob("*.log")}
+        if parallelism == 1:
+            assert set(logs) == {os.getpid()}
+        else:
+            assert logs and os.getpid() not in logs
+        assert {line for lines in logs.values() for line in lines} == {"[1, 1]"}
+        assert _blas_threads() == caller_threads
+
+    def test_caller_counts_restored_after_a_failed_run(self, caller_threads):
+        cfg = parse_config_dict(_small_config(
+            n_seeds=1, budget=10, target={"kind": "synthetic", "order": 3, "noise_variance": 0},
+            models=[{"kind": "gpr", "kernel": {"kind": "linear"}}]))
+        with pytest.raises(NumericalError, match="Cholesky failed for"):
+            run_experiment(cfg)
+        assert _blas_threads() == caller_threads
+
+    @pytest.mark.parametrize("parallelism, cores, n_seeds, pool_size", [
+        (8, 2, 5, 2), (8, 16, 3, 3), (3, 16, 5, 3), (8, 1, 5, None), (8, 4, 1, None)])
+    def test_pool_size_is_clamped_to_cores_and_seeds(self, parallelism, cores, n_seeds,
+                                                     pool_size, monkeypatch, tmp_path):
+        monkeypatch.setattr(_SerialPool, "sizes", [])
+        monkeypatch.setattr(expcli, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        cfg = parse_config_dict(_small_config(n_seeds=n_seeds, budget=2,
+                                              parallelism=parallelism))
+        emit(run_experiment(cfg), tmp_path, cfg)
+        assert _SerialPool.sizes == ([] if pool_size is None else [pool_size])
+        runtime = json.loads((tmp_path / "meta.json").read_text())["runtime"]
+        assert (runtime["cores"], runtime["workers"]) == (cores, pool_size or 1)
+
+    def test_meta_records_the_blas_setup(self, tmp_path, caller_threads):
+        cfg = parse_config_dict(_small_config(n_seeds=1, budget=2))
+        emit(run_experiment(cfg), tmp_path, cfg)
+        runtime = json.loads((tmp_path / "meta.json").read_text())["runtime"]
+        assert runtime["numpy"] == np.__version__
+        assert runtime["scipy"] == importlib.import_module("scipy").__version__
+        assert [c["module"] for c in runtime["openblas"]] == [m for m, _ in _GET_THREADS]
+        for copy in runtime["openblas"]:
+            assert "openblas" in os.path.basename(copy["library"])
+            assert (copy["threads_before"], copy["threads_set"]) == (3, 1)
+
+    def test_a_missing_copy_is_recorded_not_skipped(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(linalg, "_OPENBLAS", (
+            ("numpy._core._multiarray_umath", "_no_such_suffix"),
+            ("no_such_module", ""), *linalg._OPENBLAS[1:]))
+        with linalg.one_blas_thread() as records:
+            assert _blas_threads()[1] == 1
+        assert [sorted(r) for r in records] == [
+            ["missing", "module"], ["missing", "module"],
+            ["library", "module", "threads_before", "threads_set"]]
+        assert "_no_such_suffix" in records[0]["missing"]
+        assert "no_such_module" in records[1]["missing"]

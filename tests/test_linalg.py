@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve
 
-from ual_lab.linalg import chol_solve_vec
+from ual_lab.errors import NumericalError
+from ual_lab.linalg import chol_solve_vec, chol_spd
 
 
 def _factor(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -37,3 +38,12 @@ def test_chol_solve_vec_rejects_non_finite_input(bad, where):
         b[1, 2] = bad
     with pytest.raises(ValueError, match="not finite"):
         chol_solve_vec(lower, b)
+
+
+def test_chol_spd_raises_on_a_singular_matrix_naming_its_size():
+    x = np.linspace(-1.0, 1.0, 5)
+    gram = 1.0 + np.outer(x, x)  # a noiseless linear kernel: rank 2
+    with pytest.raises(NumericalError, match="Cholesky failed for 5x5 matrix"):
+        chol_spd(gram)
+    np.testing.assert_array_equal(chol_spd(gram + np.eye(5)),
+                                  np.linalg.cholesky(gram + np.eye(5)))
