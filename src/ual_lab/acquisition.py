@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .gpr import GpModel, KernelSpec, gp_predict_batch
+from .gpr import GpModel, KernelSpec, gp_predict_batch, kernel_matrix
 
 __all__ = [
     "VARIANCE",
@@ -91,9 +91,9 @@ def score_random(rng: np.random.Generator, active) -> int:
 
 
 def score_direct_mse(surrogate: GpModel, model, xs) -> np.ndarray:
-    """(surrogate mean - predictor mean)^2 at each candidate."""
+    """(surrogate mean - predictor mean)^2 at each candidate; no surrogate variance."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    g_means, _ = gp_predict_batch(surrogate, xs, include_noise=False)
+    g_means = kernel_matrix(surrogate.kernel, surrogate.train_inputs, xs).T @ surrogate.weights
     f_means, _ = model.predict_batch(xs)
     return (g_means - f_means) ** 2
 

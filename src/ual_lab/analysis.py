@@ -9,16 +9,18 @@ lower-order when its prior is the family's head block (the coordinates of
 1..x^p).
 
 Every closed form is evaluated on a grid ``xs`` for one set of training
-inputs: it builds the designs once and takes the posterior covariance from
-:func:`~ual_lab.bpr.posterior_update` (the covariance does not depend on
-the outputs) and the prior precision from the prior, then evaluates the
-per-x expression at each grid point. The expected squared
-error of the posterior-mean prediction (plus the posterior spread) has a
-nine-term closed form, which collapses to twice the predictive quadratic
-form when the model is matched, and to a six-term block expression when it
-is lower-order. Each identity is kept term-by-term, unsimplified: the
-tests' job is to confirm the algebra against a Monte-Carlo oracle, so no
-terms are merged ahead of time.
+inputs: it builds the training and grid designs once and takes the
+posterior covariance from :func:`~ual_lab.bpr.posterior_update` (the
+covariance does not depend on the outputs) and the prior precision from the
+prior, then evaluates each term for all x at once as arrays. Products over
+the grid are row-local broadcast-and-sums, never matrix products, so each
+x's result is bit-for-bit independent of the rest of the grid. The expected
+squared error of the posterior-mean prediction (plus the posterior spread)
+has a nine-term closed form, which collapses to twice the predictive
+quadratic form when the model is matched, and to a six-term block
+expression when it is lower-order. Each identity is kept term-by-term,
+unsimplified: the tests' job is to confirm the algebra against a
+Monte-Carlo oracle, so no terms are merged ahead of time.
 """
 
 from __future__ import annotations
@@ -56,8 +58,13 @@ def _check_noise(family: BprPrior, prior: BprPrior) -> None:
         raise ValueError("family and prior must share one noise variance")
 
 
-def _grid(xs) -> np.ndarray:
-    return np.asarray(xs, dtype=float).reshape(-1)
+def _row_mat(rows, mat) -> np.ndarray:
+    """rows[i] @ mat for every row, as a broadcast sum that never mixes rows."""
+    return (rows[:, :, None] * mat[None]).sum(axis=1)
+
+
+def _row_dot(a, b) -> np.ndarray:
+    return (a * b).sum(axis=-1)
 
 
 def closed_form_mse_terms(xs, family: BprPrior, prior: BprPrior, inputs) -> np.ndarray:
@@ -80,23 +87,23 @@ def closed_form_mse_terms(xs, family: BprPrior, prior: BprPrior, inputs) -> np.n
     cross = phi_hat.T @ phi_full                         # Phi_hat^T Phi
     gram = phi_hat.T @ phi_hat                           # Phi_hat^T Phi_hat
 
-    xs = _grid(xs)
-    terms = np.empty((xs.size, 9))
-    for t, x in zip(terms, xs):
-        phi_l = feature_map(x, family.degree)
-        phi_p = feature_map(x, prior.degree)
-        sp_phi = post_cov @ phi_p                        # Sigma_p phi^p
-        b_vec = cross.T @ sp_phi                         # Phi^T Phi_hat Sigma_p phi^p
-        t[0] = phi_l @ second_moment @ phi_l
-        t[1] = -2.0 * (phi_p @ a_vec) * (mu @ phi_l)
-        t[2] = -(2.0 / sig2) * (sp_phi @ cross @ second_moment @ phi_l)
-        t[3] = (phi_p @ a_vec) ** 2
-        t[4] = (1.0 / sig2) * (phi_p @ a_vec) * (mu @ b_vec)
-        t[5] = (1.0 / sig2) * (b_vec @ mu) * (shrink @ sp_phi)
-        t[6] = (1.0 / sig2**2) * (b_vec @ second_moment @ b_vec)
-        t[7] = (1.0 / sig2) * (sp_phi @ gram @ sp_phi)
-        t[8] = phi_p @ sp_phi
-    return terms
+    phi_l = design_matrix(xs, family.degree)             # one row per grid point
+    phi_p = design_matrix(xs, prior.degree)
+    sp_phi = _row_mat(phi_p, post_cov)                   # Sigma_p phi^p (Sigma_p symmetric)
+    b_vec = _row_mat(sp_phi, cross)                      # Phi^T Phi_hat Sigma_p phi^p
+    b_m = _row_mat(b_vec, second_moment)
+    a_phi, b_mu = _row_dot(phi_p, a_vec), _row_dot(b_vec, mu)
+    return np.stack([
+        _row_dot(_row_mat(phi_l, second_moment), phi_l),
+        -2.0 * a_phi * _row_dot(phi_l, mu),
+        -(2.0 / sig2) * _row_dot(b_m, phi_l),
+        a_phi**2,
+        (1.0 / sig2) * a_phi * b_mu,
+        (1.0 / sig2) * b_mu * _row_dot(sp_phi, shrink),
+        (1.0 / sig2**2) * _row_dot(b_m, b_vec),
+        (1.0 / sig2) * _row_dot(_row_mat(sp_phi, gram), sp_phi),
+        _row_dot(phi_p, sp_phi),
+    ], axis=1)
 
 
 def closed_form_mse(xs, family: BprPrior, prior: BprPrior, inputs) -> np.ndarray:
@@ -106,8 +113,8 @@ def closed_form_mse(xs, family: BprPrior, prior: BprPrior, inputs) -> np.ndarray
 
 def matched_mse(xs, post: BprPosterior) -> np.ndarray:
     """2 * phi^T Sigma_p phi at each x: the matched-model MSE, twice the spread."""
-    phis = (feature_map(x, post.degree) for x in _grid(xs))
-    return 2.0 * np.array([phi @ post.cov @ phi for phi in phis])
+    phis = design_matrix(xs, post.degree)
+    return 2.0 * _row_dot(_row_mat(phis, post.cov), phis)
 
 
 def lower_order_mse(xs, family: BprPrior, prior: BprPrior, inputs
@@ -138,21 +145,19 @@ def lower_order_mse(xs, family: BprPrior, prior: BprPrior, inputs
     post_cov = posterior_update(prior, inputs, np.zeros(np.size(inputs))).cov
     head_to_c = phi_hat.T @ phi_c                        # Phi_hat^T Phi_c
 
-    xs = _grid(xs)
-    out = np.empty((3, xs.size))
-    for i, x in enumerate(xs):
-        c_phi = np.power(float(x), np.arange(p + 1, l + 1))  # [x^(p+1), ..., x^l]
-        q_phi = feature_map(x, p)
-        sp_q = post_cov @ q_phi
-        t1 = float(c_phi @ m_second @ c_phi)
-        t2 = -(2.0 / sig2) * float(sp_q @ head_to_c @ m_second @ c_phi)
-        t3 = 2.0 * float(q_phi @ post_cov @ prior.precision @ cov_cross.T @ c_phi)
-        t4 = (1.0 / sig2**2) * float(sp_q @ head_to_c @ m_second @ head_to_c.T @ sp_q)
-        t5 = -(2.0 / sig2) * float(sp_q @ head_to_c @ cov_cross @ prior.precision @ sp_q)
-        var_term = float(q_phi @ sp_q)
-        p_term = t1 + t2 + t3 + t4 + t5
-        out[:, i] = p_term + 2.0 * var_term, p_term, var_term
-    return out[0], out[1], out[2]
+    grid_full = design_matrix(xs, l)
+    c_phi, q_phi = grid_full[:, p + 1:], grid_full[:, : p + 1]  # [x^(p+1)..x^l], [1..x^p]
+    sp_q = _row_mat(q_phi, post_cov)
+    h_c = _row_mat(sp_q, head_to_c)                      # sp_q^T Phi_hat^T Phi_c
+    h_m = _row_mat(h_c, m_second)
+    t1 = _row_dot(_row_mat(c_phi, m_second), c_phi)
+    t2 = -(2.0 / sig2) * _row_dot(h_m, c_phi)
+    t3 = 2.0 * _row_dot(_row_mat(q_phi, post_cov @ prior.precision @ cov_cross.T), c_phi)
+    t4 = (1.0 / sig2**2) * _row_dot(h_m, h_c)
+    t5 = -(2.0 / sig2) * _row_dot(_row_mat(h_c, cov_cross @ prior.precision), sp_q)
+    var_term = _row_dot(q_phi, sp_q)
+    p_term = t1 + t2 + t3 + t4 + t5
+    return p_term + 2.0 * var_term, p_term, var_term
 
 
 def variance_proxy_gap(xs, family: BprPrior, prior: BprPrior, inputs) -> np.ndarray:

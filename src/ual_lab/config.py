@@ -317,6 +317,9 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         # with the rule above, this also keeps dataset targets out
         if any(m.kind != "bpr" for m in cfg.models):
             raise ConfigError("models: discrepancy experiments use bpr models only")
+        if cfg.target.family != PURE_POLYNOMIAL:  # the closed forms know no cosine term
+            raise ConfigError(f"target.family: discrepancy experiments need "
+                              f"{PURE_POLYNOMIAL!r}, got {cfg.target.family!r}")
     elif dataset:
         if any(s.gradient_bound == "auto" for s in cfg.strategies):
             raise ConfigError("strategies: gradient_bound 'auto' needs a synthetic "

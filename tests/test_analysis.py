@@ -11,7 +11,14 @@ from ual_lab.analysis import (
     mc_bias_variance,
     variance_proxy_gap,
 )
-from ual_lab.bpr import BprPrior, default_prior, design_matrix, posterior_update, predictive_batch
+from ual_lab.bpr import (
+    BprPrior,
+    default_prior,
+    design_matrix,
+    feature_map,
+    posterior_update,
+    predictive_batch,
+)
 from ual_lab.errors import TruncationError
 from ual_lab.rng import derive_rng
 
@@ -28,6 +35,81 @@ def _head_prior(family, p):
                     family.noise_variance)
 
 
+# Per-point references: each closed form read directly off its per-x
+# formula, one x and one feature_map per iteration, with matrix products in
+# BLAS order. The array forms sum in another order, so they must agree with
+# these to rounding (1e-12 relative), not bit for bit.
+
+
+def _terms_per_point(xs, family, prior, inputs):
+    phi_full = design_matrix(inputs, family.degree)
+    phi_hat = design_matrix(inputs, prior.degree)
+    sig2 = prior.noise_variance
+    mu, sigma = family.mean, family.cov
+    post_cov = posterior_update(prior, inputs, np.zeros(np.size(inputs))).cov
+    second_moment = np.outer(mu, mu) + sigma
+    shrink = prior.precision @ prior.mean
+    a_vec = post_cov @ shrink
+    cross = phi_hat.T @ phi_full
+    gram = phi_hat.T @ phi_hat
+    xs = np.asarray(xs, dtype=float).reshape(-1)
+    terms = np.empty((xs.size, 9))
+    for t, x in zip(terms, xs):
+        phi_l = feature_map(x, family.degree)
+        phi_p = feature_map(x, prior.degree)
+        sp_phi = post_cov @ phi_p
+        b_vec = cross.T @ sp_phi
+        t[0] = phi_l @ second_moment @ phi_l
+        t[1] = -2.0 * (phi_p @ a_vec) * (mu @ phi_l)
+        t[2] = -(2.0 / sig2) * (sp_phi @ cross @ second_moment @ phi_l)
+        t[3] = (phi_p @ a_vec) ** 2
+        t[4] = (1.0 / sig2) * (phi_p @ a_vec) * (mu @ b_vec)
+        t[5] = (1.0 / sig2) * (b_vec @ mu) * (shrink @ sp_phi)
+        t[6] = (1.0 / sig2**2) * (b_vec @ second_moment @ b_vec)
+        t[7] = (1.0 / sig2) * (sp_phi @ gram @ sp_phi)
+        t[8] = phi_p @ sp_phi
+    return terms
+
+
+def _lower_order_per_point(xs, family, prior, inputs):
+    p, l = prior.degree, family.degree
+    sig2 = prior.noise_variance
+    phi_full = design_matrix(inputs, l)
+    phi_c, phi_hat = phi_full[:, p + 1:], phi_full[:, : p + 1]
+    mean_c = family.mean[p + 1:]
+    cov_cross = family.cov[p + 1:, : p + 1]
+    m_second = family.cov[p + 1:, p + 1:] + np.outer(mean_c, mean_c)
+    post_cov = posterior_update(prior, inputs, np.zeros(np.size(inputs))).cov
+    head_to_c = phi_hat.T @ phi_c
+    xs = np.asarray(xs, dtype=float).reshape(-1)
+    out = np.empty((3, xs.size))
+    for i, x in enumerate(xs):
+        c_phi = np.power(float(x), np.arange(p + 1, l + 1))
+        q_phi = feature_map(x, p)
+        sp_q = post_cov @ q_phi
+        t1 = float(c_phi @ m_second @ c_phi)
+        t2 = -(2.0 / sig2) * float(sp_q @ head_to_c @ m_second @ c_phi)
+        t3 = 2.0 * float(q_phi @ post_cov @ prior.precision @ cov_cross.T @ c_phi)
+        t4 = (1.0 / sig2**2) * float(sp_q @ head_to_c @ m_second @ head_to_c.T @ sp_q)
+        t5 = -(2.0 / sig2) * float(sp_q @ head_to_c @ cov_cross @ prior.precision @ sp_q)
+        var_term = float(q_phi @ sp_q)
+        p_term = t1 + t2 + t3 + t4 + t5
+        out[:, i] = p_term + 2.0 * var_term, p_term, var_term
+    return out
+
+
+def _matched_per_point(xs, post):
+    phis = (feature_map(x, post.degree) for x in np.asarray(xs, dtype=float).reshape(-1))
+    return 2.0 * np.array([phi @ post.cov @ phi for phi in phis])
+
+
+def _assert_rows_independent(fn, grid):
+    """fn(grid) row i equals fn([grid[i]]), bit for bit, for every i."""
+    whole = fn(grid)
+    for i, x in enumerate(grid):
+        np.testing.assert_array_equal(whole[..., i:i + 1], fn([x]))
+
+
 class TestClosedFormMse:
     def test_matched_empty_data_hand_value(self):
         # no data, unit prior, degree 1, x = 1: twice the prior quadratic form
@@ -39,12 +121,25 @@ class TestClosedFormMse:
         fam = _random_family(rng, 3)
         prior = default_prior(2, 1.0)
         xs = rng.uniform(-2, 2, 10)
-        terms = closed_form_mse_terms([0.3, -1.1], fam, prior, xs)
-        assert terms.shape == (2, 9)
+        grid = rng.uniform(-2, 2, 50)
+        terms = closed_form_mse_terms(grid, fam, prior, xs)
+        assert terms.shape == (50, 9)
         # a grid point's terms do not depend on the rest of the grid
-        np.testing.assert_array_equal(terms[1], closed_form_mse_terms([-1.1], fam, prior, xs)[0])
-        total = closed_form_mse([0.3, -1.1], fam, prior, xs)
+        _assert_rows_independent(lambda g: closed_form_mse_terms(g, fam, prior, xs).T, grid)
+        total = closed_form_mse(grid, fam, prior, xs)
         assert total == pytest.approx(terms.sum(axis=1))
+
+    @pytest.mark.parametrize("p, l", [(1, 3), (3, 3), (4, 2), (0, 0)])
+    @pytest.mark.parametrize("n_train", [0, 12])
+    def test_array_form_matches_per_point_loop(self, p, l, n_train):
+        rng = derive_rng(59, p, l, n_train)
+        fam = _random_family(rng, l, noise=0.7)
+        prior = BprPrior(p, rng.standard_normal(p + 1), _random_family(rng, p).cov, 0.7)
+        inputs = rng.uniform(-2, 2, n_train)
+        grid = np.linspace(-2, 2, 41)
+        want = _terms_per_point(grid, fam, prior, inputs)
+        np.testing.assert_allclose(closed_form_mse_terms(grid, fam, prior, inputs), want,
+                                   rtol=1e-12, atol=0)
 
     def test_matched_equals_twice_quadratic_form(self):
         rng = derive_rng(51, 0)
@@ -90,6 +185,16 @@ class TestMatchedMse:
             _, variances = predictive_batch(post, xs)
             assert matched_mse(xs, post) == pytest.approx(2.0 * (variances - 1.0), abs=1e-12)
 
+    @pytest.mark.parametrize("n_train", [0, 15])
+    def test_array_form_matches_per_point_loop(self, n_train):
+        rng = derive_rng(60, n_train)
+        post = posterior_update(_random_family(rng, 3), rng.uniform(-2, 2, n_train),
+                                rng.standard_normal(n_train))
+        grid = rng.uniform(-2, 2, 50)
+        np.testing.assert_allclose(matched_mse(grid, post), _matched_per_point(grid, post),
+                                   rtol=1e-12, atol=0)
+        _assert_rows_independent(lambda g: matched_mse(g, post), grid)
+
 
 class TestLowerOrderMse:
     def test_degenerate_partition_collapses(self):
@@ -110,6 +215,20 @@ class TestLowerOrderMse:
             general = closed_form_mse(grid, fam, prior, xs)
             total, _, _ = lower_order_mse(grid, fam, prior, xs)
             assert np.all(np.abs(general - total) / (1 + np.abs(general)) < 1e-8)
+
+    @pytest.mark.parametrize("p, l", [(1, 3), (0, 4), (3, 3)])
+    @pytest.mark.parametrize("n_train", [0, 12])
+    def test_array_form_matches_per_point_loop(self, p, l, n_train):
+        rng = derive_rng(61, p, l, n_train)
+        fam = _random_family(rng, l, noise=0.7)
+        prior = _head_prior(fam, p)
+        inputs = rng.uniform(-2, 2, n_train)
+        grid = rng.uniform(-2, 2, 50)
+        got = np.array(lower_order_mse(grid, fam, prior, inputs))
+        np.testing.assert_allclose(got, _lower_order_per_point(grid, fam, prior, inputs),
+                                   rtol=1e-12, atol=0)
+        _assert_rows_independent(lambda g: np.array(lower_order_mse(g, fam, prior, inputs)),
+                                 grid)
 
     def test_prior_block_mismatch_rejected(self):
         rng = derive_rng(57, 0)

@@ -10,9 +10,15 @@ outputs then go through the benchmark's structure check and its
 from-scratch recomputation (``bench/checks.py``), which call the library's
 target, test-set and model functions directly, so a signature change there
 fails here as well as in the benchmark.
+
+The gated workloads also run at full size on the benchmark's default seed
+and are compared with ``bench/reference/``, so a change that moves a
+recorded result fails tier-1, not only the benchmark run.
 """
 
 from pathlib import Path
+
+import pytest
 
 from ual_lab.expcli import emit, parse_config_dict, run_experiment
 
@@ -48,3 +54,15 @@ def test_tracer_records_every_patched_layer(tmp_path, monkeypatch):
         checks.check_structure(raw, tmp_path / name)
         for seed in PICK_SEEDS:
             checks.check_recompute(raw, tmp_path / name, seed)
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_full_size_run_matches_reference(name, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import checks
+    import workloads
+
+    raw = workloads.WORKLOADS[name](workloads.DEFAULT_SEED)
+    cfg = parse_config_dict(raw)
+    emit(run_experiment(cfg), tmp_path, cfg)
+    checks.check_reference(name, raw, tmp_path)

@@ -278,6 +278,18 @@ class TestDiscrepancyKind:
         cfg = parse_config_dict(_discrepancy_config(grid={"n": 9, "lo": -2.0, "hi": 2.0}))
         assert cfg.grid.layout == "grid"
 
+    def test_cosine_family_rejected(self, tmp_path, capsys):
+        # the closed forms cover the pure polynomial family only; a cosine
+        # target would be evaluated as if its cosine term were absent
+        target = {"kind": "synthetic", "order": 3, "family": "polynomial-plus-cosine",
+                  "noise_variance": 1.0, "cosine_amplitude": 5.0}
+        with pytest.raises(ConfigError, match="target.family"):
+            parse_config_dict(_discrepancy_config(target=target))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_discrepancy_config(target=target)))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "target.family" in capsys.readouterr().err
+
 
 class TestCli:
     def test_validate_shipped(self, capsys):
