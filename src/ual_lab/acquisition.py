@@ -3,6 +3,10 @@
 Four strategies: predictive-variance, uniform random, squared discrepancy
 against a surrogate GP fit on the labeled data, and a high-probability
 error upper bound (GP credible width plus a Lipschitz fill-distance term).
+The two surrogate scores take the surrogate's means, latent variances and
+nearest-labeled distances at the candidates, which the run loop keeps
+current, so scoring does no kernel, solve or distance work over the
+labeled set.
 Selection works on the indices of the still-unlabeled pool candidates.
 Ties always break to the lowest candidate index so selections are
 reproducible across platforms.
@@ -15,9 +19,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .gpr import GpModel, KernelSpec, gp_predict_batch, kernel_matrix
+# gp_predict_batch is bound here for bench/layertrace.py, which patches it at this name.
+from .gpr import KernelSpec, gp_predict_batch  # noqa: F401
 
 __all__ = [
     "VARIANCE",
@@ -90,19 +94,18 @@ def score_random(rng: np.random.Generator, active) -> int:
     return int(active[rng.integers(active.size)])
 
 
-def score_direct_mse(surrogate: GpModel, model, xs) -> np.ndarray:
+def score_direct_mse(model, xs, surrogate_means) -> np.ndarray:
     """(surrogate mean - predictor mean)^2 at each candidate; no surrogate variance."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    g_means = kernel_matrix(surrogate.kernel, surrogate.train_inputs, xs).T @ surrogate.weights
-    f_means, _ = model.predict_batch(xs)
-    return (g_means - f_means) ** 2
+    f_means, _ = model.predict_batch(np.atleast_2d(np.asarray(xs, dtype=float)))
+    return (surrogate_means - f_means) ** 2
 
 
 def score_upper_bound(
-    surrogate: GpModel,
     model,
     xs,
-    labeled_inputs,
+    surrogate_means,
+    surrogate_latent,
+    d_min,
     gradient_bound: float,
     confidence: float,
     pool_size: int,
@@ -112,19 +115,16 @@ def score_upper_bound(
     B(x) = sqrt(2 ln(N/delta)) * surrogate latent std + L_f * d_min(x),
     where d_min is the distance from x to the nearest labeled input. The
     first term is a high-probability GP credible width, the second covers
-    what a gradient-bounded function can do between observations.
+    what a gradient-bounded function can do between observations. sigma^2
+    is the model's noise variance, which the surrogate shares.
     """
     if gradient_bound is None or (isinstance(gradient_bound, str)):
         raise ValueError("gradient_bound must be resolved to a number before scoring")
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    labeled_inputs = np.atleast_2d(np.asarray(labeled_inputs, dtype=float))
-    g_means, g_latent_var = gp_predict_batch(surrogate, xs, include_noise=False)
-    f_means, _ = model.predict_batch(xs)
+    f_means, _ = model.predict_batch(np.atleast_2d(np.asarray(xs, dtype=float)))
     beta = 2.0 * math.log(pool_size / confidence)
-    width = math.sqrt(beta) * np.sqrt(np.clip(g_latent_var, 0.0, None))
-    d_min = cdist(xs, labeled_inputs).min(axis=1)
+    width = math.sqrt(beta) * np.sqrt(np.clip(surrogate_latent, 0.0, None))
     bound = width + gradient_bound * d_min
-    return (bound + np.abs(g_means - f_means)) ** 2 + surrogate.noise_variance
+    return (bound + np.abs(surrogate_means - f_means)) ** 2 + model.noise_variance
 
 
 def select(active, scores) -> int:

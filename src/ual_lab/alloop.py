@@ -6,8 +6,10 @@ still-unlabeled candidates, take the winner's label, refit the learner
 from scratch, and record the test error. Learner refits are always on the
 full labeled set, so the final model depends only on which points were
 acquired, not in what order. The surrogate GP of ``direct_mse`` and
-``upper_bound`` is fit once on the initial point and extended by one
-Cholesky row per label (:func:`gpr.gp_append`).
+``upper_bound`` is fit once on the initial point; its pool means and
+latent variances are then kept current by :class:`gpr.PoolPredictions`
+at O(nm) per label for a pool of m, and ``upper_bound``'s distance from
+each candidate to the nearest labeled one by a running minimum at O(m).
 Both learners return a :class:`FittedModel`, the one type the loop and
 the acquisition scores predict through.
 
@@ -24,14 +26,15 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from . import acquisition as acq
 from .bpr import BprPosterior, default_prior, design_matrix, posterior_update, predictive_batch
 from .gpr import (
     GpModel,
     KernelSpec,
+    PoolPredictions,
     fit_lengthscale_grid,
-    gp_append,
     gp_fit,
     gp_predict_batch,
 )
@@ -181,10 +184,14 @@ def run_al(
     model = learner.fit(candidates[labeled], labels[labeled])
     bias_spread = _bias_spread(test, model)
     terms = [bias_spread(model)]
-    surrogate = None
+    surrogate = d_min = None
     if strategy.kind in (acq.DIRECT_MSE, acq.UPPER_BOUND):
-        surrogate = gp_fit(strategy.surrogate_kernel, candidates[labeled], labels[labeled],
-                           model.noise_variance)
+        fit = gp_fit(strategy.surrogate_kernel, candidates[labeled], labels[labeled],
+                     model.noise_variance)
+        means, latent = gp_predict_batch(fit, candidates, include_noise=False)
+        surrogate = PoolPredictions(fit, candidates, means, latent, budget + 1)
+    if strategy.kind == acq.UPPER_BOUND:
+        d_min = cdist(candidates, candidates[labeled])[:, 0]
 
     for _ in range(budget):
         indices = np.flatnonzero(active)
@@ -195,17 +202,20 @@ def run_al(
             if strategy.kind == acq.VARIANCE:
                 scores = acq.score_variance(model, xs)
             elif strategy.kind == acq.DIRECT_MSE:
-                scores = acq.score_direct_mse(surrogate, model, xs)
+                scores = acq.score_direct_mse(model, xs, surrogate.means[indices])
             else:
                 scores = acq.score_upper_bound(
-                    surrogate, model, xs, candidates[labeled],
-                    strategy.gradient_bound, strategy.confidence, pool_size=indices.size,
+                    model, xs, surrogate.means[indices], surrogate.latent[indices],
+                    d_min[indices], strategy.gradient_bound, strategy.confidence,
+                    pool_size=indices.size,
                 )
             chosen = acq.select(indices, scores)
         labeled.append(chosen)
         active[chosen] = False
         if surrogate is not None:
-            surrogate = gp_append(surrogate, candidates[chosen], labels[chosen])
+            surrogate.append(chosen, labels[chosen])
+        if d_min is not None:
+            d_min = np.minimum(d_min, cdist(candidates, candidates[chosen:chosen + 1])[:, 0])
         model = learner.fit(candidates[labeled], labels[labeled])
         terms.append(bias_spread(model))
 

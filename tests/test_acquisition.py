@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from ual_lab.acquisition import (
     StrategySpec,
@@ -10,13 +11,28 @@ from ual_lab.acquisition import (
     select,
 )
 from ual_lab.alloop import BprLearner, FittedModel
-from ual_lab.gpr import KernelSpec, gp_fit
+from ual_lab.gpr import KernelSpec, gp_fit, gp_predict_batch
 from ual_lab.rng import derive_rng
 from ual_lab.synthetic import build_pool
 
 
 def _fit_bpr(degree, xs, ys, noise=1.0):
     return BprLearner(degree, noise).fit(np.asarray(xs, float)[:, None], ys)
+
+
+def _direct(surrogate, model, xs):
+    """The direct_mse score with the surrogate's means predicted from scratch."""
+    means, _ = gp_predict_batch(surrogate, xs, include_noise=False)
+    return score_direct_mse(model, xs, means)
+
+
+def _upper(surrogate, model, xs, labeled, gradient_bound, confidence, pool_size):
+    """The upper_bound score with the surrogate terms and distances computed from scratch."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    means, latent = gp_predict_batch(surrogate, xs, include_noise=False)
+    d_min = cdist(xs, np.atleast_2d(labeled)).min(axis=1)
+    return score_upper_bound(model, xs, means, latent, d_min, gradient_bound, confidence,
+                             pool_size)
 
 
 class TestVarianceScore:
@@ -70,7 +86,7 @@ class TestDirectMseScore:
         surrogate = gp_fit(KernelSpec("rbf", lengthscale=0.5), xs[:, None], xs**2, 1e-8)
         model = _fit_bpr(1, xs, xs, noise=1e-8)
 
-        scores = score_direct_mse(surrogate, model, np.array([[2.0]]))
+        scores = _direct(surrogate, model, np.array([[2.0]]))
         assert scores[0] == pytest.approx(4.0, abs=0.05)
 
     def test_identical_models_score_zero(self):
@@ -80,11 +96,10 @@ class TestDirectMseScore:
             noise_variance = 1.0
 
             def predict_batch(self, qs):
-                from ual_lab.gpr import gp_predict_batch
                 return gp_predict_batch(surrogate, qs, include_noise=False)
 
         surrogate = gp_fit(KernelSpec("rbf"), xs[:, None], np.sin(xs), 0.5)
-        scores = score_direct_mse(surrogate, Same(), xs[:, None])
+        scores = _direct(surrogate, Same(), xs[:, None])
         np.testing.assert_allclose(scores, 0.0, atol=1e-20)
 
     def test_argmax_matches_brute_force_residual_scan(self):
@@ -96,10 +111,10 @@ class TestDirectMseScore:
         surrogate = gp_fit(KernelSpec("rbf", lengthscale=0.5), xs[:, None], ys, 0.01)
         model = _fit_bpr(1, xs, ys, noise=0.01)
         pool = build_pool(50, -2, 2)
-        scores = score_direct_mse(surrogate, model, pool)
+        scores = _direct(surrogate, model, pool)
         # brute force: evaluate the same discrepancy one candidate at a time
         brute = np.array([
-            score_direct_mse(surrogate, model, pool[i:i + 1])[0]
+            _direct(surrogate, model, pool[i:i + 1])[0]
             for i in range(50)
         ])
         np.testing.assert_allclose(scores, brute, atol=1e-12)
@@ -114,7 +129,7 @@ class TestUpperBoundScore:
         surrogate = gp_fit(KernelSpec("rbf", lengthscale=0.5), xs[:, None], ys, sig2)
         model = _fit_bpr(1, xs, ys, noise=sig2)
         x = np.array([[xs[7]]])
-        score = score_upper_bound(surrogate, model, x, xs[:, None], 3.0, 0.05, 25)[0]
+        score = _upper(surrogate, model, x, xs[:, None], 3.0, 0.05, 25)[0]
         g_mean = surrogate.train_outputs[7]
         f_mean = model.predict_batch(x)[0][0]
         assert score == pytest.approx((g_mean - f_mean) ** 2 + sig2, abs=1e-4)
@@ -129,13 +144,11 @@ class TestUpperBoundScore:
             noise_variance = 1.0
 
             def predict_batch(self, qs):
-                from ual_lab.gpr import gp_predict_batch
                 return gp_predict_batch(surrogate, qs, include_noise=False)
 
         qs = rng.uniform(-2, 2, (20, 1))
         eps = 1e-9
-        scores = score_upper_bound(surrogate, ZeroModel(), qs, xs[:, None], eps, 0.05, 20)
-        from ual_lab.gpr import gp_predict_batch
+        scores = _upper(surrogate, ZeroModel(), qs, xs[:, None], eps, 0.05, 20)
         _, latent = gp_predict_batch(surrogate, qs, include_noise=False)
         beta = 2.0 * np.log(20 / 0.05)
         np.testing.assert_allclose(scores, beta * latent + 1.0, rtol=1e-4)
@@ -147,8 +160,8 @@ class TestUpperBoundScore:
         surrogate = gp_fit(KernelSpec("rbf", lengthscale=0.5), xs[:, None], ys, 1.0)
         model = _fit_bpr(1, xs, ys)
         pool = build_pool(50, -2, 2)
-        upper = score_upper_bound(surrogate, model, pool, xs[:, None], 5.0, 0.05, 50)
-        direct = score_direct_mse(surrogate, model, pool)
+        upper = _upper(surrogate, model, pool, xs[:, None], 5.0, 0.05, 50)
+        direct = _direct(surrogate, model, pool)
         assert np.all(upper >= direct)
         assert np.all(upper >= 1.0)  # never below the noise floor
 
@@ -156,7 +169,7 @@ class TestUpperBoundScore:
         surrogate = gp_fit(KernelSpec("rbf"), [[0.0]], [1.0], 1.0)
         model = _fit_bpr(1, [0.0], [1.0])
         with pytest.raises(ValueError):
-            score_upper_bound(surrogate, model, [[1.0]], [[0.0]], "auto", 0.05, 10)
+            _upper(surrogate, model, [[1.0]], [[0.0]], "auto", 0.05, 10)
 
 
 class TestSelect:
@@ -200,7 +213,7 @@ def test_perfect_surrogate_ranks_like_true_squared_error():
     surrogate = gp_fit(KernelSpec("rbf", lengthscale=0.5), xs[:, None], f, 1e-10)
     model = _fit_bpr(1, xs, f, noise=1.0)
     pool = build_pool(40, -1.9, 1.9)
-    scores = score_direct_mse(surrogate, model, pool)
+    scores = _direct(surrogate, model, pool)
     f_means, _ = model.predict_batch(pool)
     truth = (0.4 - 0.7 * pool[:, 0] + 0.9 * pool[:, 0] ** 2 - f_means) ** 2
     np.testing.assert_array_equal(np.argsort(scores), np.argsort(truth))

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from ual_lab import acquisition as acq
+from ual_lab import gpr
 from ual_lab.acquisition import StrategySpec
 from ual_lab.alloop import BprLearner, GprLearner, SyntheticOracle, _bias_spread, run_al
-from ual_lab.gpr import KernelSpec, gp_fit
+from ual_lab.gpr import KernelSpec, gp_fit, gp_predict_batch
 from ual_lab.rng import derive_rng
 from ual_lab.synthetic import TestSet as HoldoutSet
 from ual_lab.synthetic import build_pool, build_test_set, gradient_bound, sample_target
@@ -117,35 +119,107 @@ def _refit_surrogate_choices(learner, strategy, labels, pool, init, budget):
         model = learner.fit(xs, ys)
         surrogate = gp_fit(strategy.surrogate_kernel, xs, ys, model.noise_variance)
         active = np.setdiff1d(np.arange(len(pool)), labeled)
+        means, latent = gp_predict_batch(surrogate, pool[active], include_noise=False)
         if strategy.kind == acq.DIRECT_MSE:
-            scores = acq.score_direct_mse(surrogate, model, pool[active])
+            scores = acq.score_direct_mse(model, pool[active], means)
         else:
-            scores = acq.score_upper_bound(surrogate, model, pool[active], xs,
+            scores = acq.score_upper_bound(model, pool[active], means, latent,
+                                           cdist(pool[active], xs).min(axis=1),
                                            strategy.gradient_bound, strategy.confidence,
                                            pool_size=active.size)
         labeled.append(acq.select(active, scores))
     return pool[labeled[1:]]
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_extended_surrogate_selects_as_refit_surrogate(seed):
-    # fig10/fig11 shape: linear model, quadratic-plus-cosine target, pool of 200
-    target = sample_target(2, derive_rng(73, seed, 0), "polynomial-plus-cosine")
-    pool = build_pool(200, -2, 2)
-    oracle = SyntheticOracle(target, 73, (seed, 1))
-    labels = np.array([oracle.label(i, x) for i, x in enumerate(pool)])
-    init_idx = int(derive_rng(73, seed, 2).integers(200))
-    test = build_test_set(500, -2, 2, target, derive_rng(73, seed, 3))
+def _dataset_shaped_run(seed, pool_n=150, test_n=100):
+    """A 2-D pool drawn like a dataset's rows, noisy labels, observed-only test outputs."""
+    rng = derive_rng(75, seed)
+    pool = rng.uniform(-2, 2, (pool_n + test_n, 2))
+    ys = np.sin(2.0 * pool[:, 0]) + 0.5 * pool[:, 1] ** 2 + 0.3 * rng.standard_normal(len(pool))
+    test = HoldoutSet(pool[pool_n:], ys[pool_n:], None)
+    return pool[:pool_n], ys[:pool_n], int(rng.integers(pool_n)), test
+
+
+@pytest.mark.parametrize("seed, dim", [
+    pytest.param(0, 1, id="0"), pytest.param(1, 1, id="1"), pytest.param(2, 1, id="2"),
+    pytest.param(0, 2, id="2d-0"),
+])
+def test_extended_surrogate_selects_as_refit_surrogate(seed, dim):
+    # fig10/fig11 shape: linear model, quadratic-plus-cosine target, pool of 200;
+    # 2-D: a GP learner on a dataset-shaped pool of 150
+    if dim == 1:
+        target = sample_target(2, derive_rng(73, seed, 0), "polynomial-plus-cosine")
+        pool = build_pool(200, -2, 2)
+        oracle = SyntheticOracle(target, 73, (seed, 1))
+        labels = np.array([oracle.label(i, x) for i, x in enumerate(pool)])
+        init_idx = int(derive_rng(73, seed, 2).integers(200))
+        test = build_test_set(500, -2, 2, target, derive_rng(73, seed, 3))
+        bound = gradient_bound(target, -2, 2)
+
+        def learner():
+            return BprLearner(1, 1.0)
+    else:
+        pool, labels, init_idx, test = _dataset_shaped_run(seed)
+        bound = 3.0
+
+        def learner():
+            return GprLearner(KernelSpec("matern52", lengthscale=1.0), 0.1)
     budget = 60
     for strategy in (
         StrategySpec("direct_mse"),
-        StrategySpec("upper_bound", gradient_bound=gradient_bound(target, -2, 2)),
+        StrategySpec("upper_bound", gradient_bound=bound),
     ):
-        trace = run_al(BprLearner(1, 1.0), strategy, pool, labels, init_idx, test, budget,
+        trace = run_al(learner(), strategy, pool, labels, init_idx, test, budget,
                        derive_rng(73, seed, 4))
-        want = _refit_surrogate_choices(BprLearner(1, 1.0), strategy, labels, pool,
-                                        init_idx, budget)
+        want = _refit_surrogate_choices(learner(), strategy, labels, pool, init_idx, budget)
         np.testing.assert_array_equal(trace.chosen_x, want, err_msg=strategy.kind)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_running_distance_equals_nearest_labeled_distance(dim, monkeypatch):
+    # the distances upper_bound scores with are, bit for bit, the distances
+    # from each active candidate to its nearest labeled one
+    if dim == 1:
+        target, labels, pool, init, test = _setup(seed=6, pool_n=80)
+        learner = BprLearner(1, 1.0)
+    else:
+        pool, labels, init, test = _dataset_shaped_run(1, pool_n=80)
+        learner = GprLearner(KernelSpec("rbf"), 0.1)
+    seen = []
+    score = acq.score_upper_bound
+
+    def recording(model, xs, means, latent, d_min, *args, **kwargs):
+        seen.append((xs.copy(), d_min.copy()))
+        return score(model, xs, means, latent, d_min, *args, **kwargs)
+
+    monkeypatch.setattr(acq, "score_upper_bound", recording)
+    trace = run_al(learner, StrategySpec("upper_bound", gradient_bound=2.0), pool, labels,
+                   init, test, 40, derive_rng(70, 6, 4))
+    assert len(seen) == 40
+    for step, (xs, d_min) in enumerate(seen):
+        labeled = np.vstack([pool[init:init + 1], trace.chosen_x[:step]])
+        np.testing.assert_array_equal(d_min, cdist(xs, labeled).min(axis=1))
+
+
+def test_surrogate_kernel_work_is_linear_in_budget(monkeypatch):
+    # an upper_bound run evaluates O(budget * m) kernel entries over a pool
+    # of m: one pool row per label, no per-step pass over the labeled set
+    counted = []
+    kernel = gpr.kernel_matrix
+
+    def counting(spec, xa, xb):
+        k = kernel(spec, xa, xb)
+        counted.append(k.size)
+        return k
+
+    monkeypatch.setattr(gpr, "kernel_matrix", counting)
+    target, labels, pool, init, test = _setup(seed=7, pool_n=200)
+    budget = 60
+    run_al(BprLearner(1, 1.0), StrategySpec("upper_bound", gradient_bound=3.0), pool, labels,
+           init, test, budget, derive_rng(70, 7, 4))
+    m = len(pool)
+    # the fit, the step-0 prediction, the step-0 cross row and one row per label
+    assert sum(counted) <= (budget + 3) * m
 
 
 class TestOracles:

@@ -7,8 +7,8 @@ from ual_lab.bpr import default_prior, posterior_update, predictive_batch
 from ual_lab.errors import NumericalError
 from ual_lab.gpr import (
     KernelSpec,
+    PoolPredictions,
     fit_lengthscale_grid,
-    gp_append,
     gp_fit,
     gp_predict_batch,
     kernel_matrix,
@@ -145,39 +145,49 @@ def test_lengthscale_grid_prefers_data_scale():
 
 @st.composite
 def _append_cases(draw):
-    """A kernel, a noise level and inputs with near-duplicates mixed in."""
+    """A kernel, a noise level, a 1-D or 2-D pool with near-duplicates mixed in, and
+    a label order. A linear kernel's prior diagonal 1 + |x|^2 is not its amplitude."""
     kind = draw(st.sampled_from(("linear", "rbf", "matern52")))
     noise = draw(st.floats(1e-2, 10.0))
-    base = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=25))
+    dim = draw(st.sampled_from((1, 2)))
+    base = draw(st.lists(st.tuples(*[st.floats(-2.0, 2.0)] * dim), min_size=1, max_size=25))
     near = draw(st.lists(st.tuples(st.integers(0, len(base) - 1), st.floats(-1e-8, 1e-8)),
                          max_size=10))
-    xs = base + [base[i] + eps for i, eps in near]
-    order = draw(st.permutations(range(len(xs))))
-    xs = np.array([xs[i] for i in order])[:, None]
-    ys = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=len(xs), max_size=len(xs))))
-    return KernelSpec(kind), noise, xs, ys
+    pool = np.array(base + [tuple(c + eps for c in base[i]) for i, eps in near])
+    order = np.array(draw(st.permutations(range(len(pool)))))
+    ys = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=len(pool),
+                                max_size=len(pool))))
+    return KernelSpec(kind), noise, pool, order, ys
+
+
+def _pool_start(spec, pool, index, y, noise, capacity):
+    fit = gp_fit(spec, pool[index:index + 1], [y], noise)
+    means, latent = gp_predict_batch(fit, pool, include_noise=False)
+    return PoolPredictions(fit, pool, means, latent, capacity)
 
 
 class TestAppend:
     @settings(max_examples=150, deadline=None)
     @given(_append_cases())
     def test_chained_appends_equal_one_fit(self, case):
-        spec, noise, xs, ys = case
-        grown = gp_fit(spec, xs[:1], ys[:1], noise)
-        for x, y in zip(xs[1:], ys[1:]):
-            grown = gp_append(grown, x, y)
-        scratch = gp_fit(spec, xs, ys, noise)
+        spec, noise, pool, order, ys = case
+        grown = _pool_start(spec, pool, order[0], ys[0], noise, len(order))
+        for j, y in zip(order[1:], ys[1:]):
+            grown.append(j, y)
+        scratch = gp_fit(spec, pool[order], ys, noise)
+        means, latent = gp_predict_batch(scratch, pool, include_noise=False)
         tol = {"rtol": 1e-10, "atol": 1e-12}
-        np.testing.assert_array_equal(grown.train_inputs, scratch.train_inputs)
-        np.testing.assert_array_equal(grown.train_outputs, scratch.train_outputs)
-        np.testing.assert_allclose(grown.chol_factor, scratch.chol_factor, **tol)
-        np.testing.assert_allclose(grown.weights, scratch.weights, **tol)
-        qs = np.linspace(-2.5, 2.5, 41)[:, None]
-        for got, want in zip(gp_predict_batch(grown, qs), gp_predict_batch(scratch, qs)):
-            np.testing.assert_allclose(got, want, **tol)
+        np.testing.assert_allclose(grown.means, means, **tol)
+        np.testing.assert_allclose(grown.latent, latent, **tol)
 
     def test_zero_pivot_raises(self):
         # bias 0, weight 1: K = [[1, 2], [2, 4]] is singular, and noise 0 adds nothing
-        model = gp_fit(KernelSpec("linear", bias=0.0, weight=1.0), [[1.0]], [1.0], 0.0)
-        with pytest.raises(NumericalError):
-            gp_append(model, [2.0], 2.0)
+        pool = np.array([[1.0], [2.0]])
+        grown = _pool_start(KernelSpec("linear", bias=0.0, weight=1.0), pool, 0, 1.0, 0.0, 2)
+        with pytest.raises(NumericalError, match="GP append"):
+            grown.append(1, 2.0)
+
+    def test_non_finite_label_raises(self):
+        grown = _pool_start(KernelSpec("rbf"), np.array([[0.0], [1.0]]), 0, 1.0, 1.0, 2)
+        with pytest.raises(ValueError, match="not finite"):
+            grown.append(1, np.nan)
