@@ -180,7 +180,7 @@ def test_running_distance_equals_nearest_labeled_distance(dim, monkeypatch):
     # the distances upper_bound scores with are, bit for bit, the distances
     # from each active candidate to its nearest labeled one
     if dim == 1:
-        target, labels, pool, init, test = _setup(seed=6, pool_n=80)
+        _, labels, pool, init, test = _setup(seed=6, pool_n=80)
         learner = BprLearner(1, 1.0)
     else:
         pool, labels, init, test = _dataset_shaped_run(1, pool_n=80)
@@ -213,7 +213,7 @@ def test_surrogate_kernel_work_is_linear_in_budget(monkeypatch):
         return k
 
     monkeypatch.setattr(gpr, "kernel_matrix", counting)
-    target, labels, pool, init, test = _setup(seed=7, pool_n=200)
+    _, labels, pool, init, test = _setup(seed=7, pool_n=200)
     budget = 60
     run_al(BprLearner(1, 1.0), StrategySpec("upper_bound", gradient_bound=3.0), pool, labels,
            init, test, budget, derive_rng(70, 7, 4))
