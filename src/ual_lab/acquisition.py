@@ -3,6 +3,8 @@
 Four strategies: predictive-variance, uniform random, squared discrepancy
 against a surrogate GP fit on the labeled data, and a high-probability
 error upper bound (GP credible width plus a Lipschitz fill-distance term).
+The three model-based scores predict through the fitted learner's
+``predict_batch``, which converts the candidate array itself.
 The two surrogate scores take the surrogate's means, latent variances and
 nearest-labeled distances at the candidates, which the run loop keeps
 current, so scoring does no kernel, solve or distance work over the
@@ -82,7 +84,7 @@ class StrategySpec:
 
 def score_variance(model, xs) -> np.ndarray:
     """Predictive variance at each candidate (noise floor included)."""
-    _, variances = model.predict_batch(np.atleast_2d(np.asarray(xs, dtype=float)))
+    _, variances = model.predict_batch(xs)
     return variances
 
 
@@ -96,7 +98,7 @@ def score_random(rng: np.random.Generator, active) -> int:
 
 def score_direct_mse(model, xs, surrogate_means) -> np.ndarray:
     """(surrogate mean - predictor mean)^2 at each candidate; no surrogate variance."""
-    f_means, _ = model.predict_batch(np.atleast_2d(np.asarray(xs, dtype=float)))
+    f_means, _ = model.predict_batch(xs)
     return (surrogate_means - f_means) ** 2
 
 
@@ -120,7 +122,7 @@ def score_upper_bound(
     """
     if gradient_bound is None or (isinstance(gradient_bound, str)):
         raise ValueError("gradient_bound must be resolved to a number before scoring")
-    f_means, _ = model.predict_batch(np.atleast_2d(np.asarray(xs, dtype=float)))
+    f_means, _ = model.predict_batch(xs)
     beta = 2.0 * math.log(pool_size / confidence)
     width = math.sqrt(beta) * np.sqrt(np.clip(surrogate_latent, 0.0, None))
     bound = width + gradient_bound * d_min

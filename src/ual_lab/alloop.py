@@ -10,8 +10,9 @@ acquired, not in what order. The surrogate GP of ``direct_mse`` and
 latent variances are then kept current by :class:`gpr.PoolPredictions`
 at O(nm) per label for a pool of m, and ``upper_bound``'s distance from
 each candidate to the nearest labeled one by a running minimum at O(m).
-Both learners return a :class:`FittedModel`, the one type the loop and
-the acquisition scores predict through.
+Each learner is its own fitted model: ``fit`` refits it in place, and the
+loop, the acquisition scores and the step recorder all go through its
+``predict_batch``, ``noise_variance`` and ``test_terms``.
 
 A polynomial posterior N(m, S) has predictive variance
 phi(x)^T S phi(x) + sigma^2 (Bishop 2006, PRML 3.3.2), so its mean over
@@ -29,9 +30,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import acquisition as acq
-from .bpr import BprPosterior, default_prior, design_matrix, posterior_update, predictive_batch
+from .bpr import default_prior, design_matrix, posterior_update, predictive_batch
 from .gpr import (
-    GpModel,
     KernelSpec,
     PoolPredictions,
     fit_lengthscale_grid,
@@ -44,7 +44,6 @@ from .synthetic import GroundTruthTarget, TestSet, eval_target
 __all__ = [
     "RunTrace",
     "SyntheticOracle",
-    "FittedModel",
     "BprLearner",
     "GprLearner",
     "run_al",
@@ -89,44 +88,49 @@ class SyntheticOracle:
         return float(clean + self._sigma * eps)
 
 
-@dataclass(frozen=True)
-class FittedModel:
-    """A fitted polynomial posterior or GP behind one prediction interface.
-
-    Predictive variances include the noise floor, so variance scores of the
-    two model kinds sit on the same scale.
-    """
-
-    posterior: BprPosterior | GpModel
-
-    @property
-    def noise_variance(self) -> float:
-        return self.posterior.noise_variance
-
-    def predict_batch(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        if isinstance(self.posterior, GpModel):
-            return gp_predict_batch(self.posterior, xs, include_noise=True)
-        if xs.shape[1] != 1:
-            raise ValueError("polynomial models are univariate")
-        return predictive_batch(self.posterior, xs[:, 0])
+def _univariate(xs) -> np.ndarray:
+    """The one coordinate of row-stacked inputs, which polynomial models need."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    if xs.shape[1] != 1:
+        raise ValueError("polynomial models are univariate")
+    return xs[:, 0]
 
 
 class BprLearner:
-    """Refits a conjugate polynomial posterior (default prior) from scratch on each call."""
+    """A conjugate polynomial posterior (default prior), refit from scratch by each fit."""
 
     def __init__(self, degree: int, noise_variance: float):
         self.prior = default_prior(degree, noise_variance)
+        self.noise_variance = noise_variance
+        self.posterior = None
 
-    def fit(self, xs: np.ndarray, ys: np.ndarray) -> FittedModel:
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        if xs.shape[1] != 1:
-            raise ValueError("polynomial models are univariate")
-        return FittedModel(posterior_update(self.prior, xs[:, 0], ys))
+    def fit(self, xs, ys) -> "BprLearner":
+        self.posterior = posterior_update(self.prior, _univariate(xs), ys)
+        return self
+
+    def predict_batch(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """Predictive means and variances, noise floor included."""
+        return predictive_batch(self.posterior, _univariate(xs))
+
+    def test_terms(self, inputs, targets) -> Callable[[], tuple[float, float]]:
+        """The recorder of the current fit's (bias, spread) over a fixed test set.
+
+        The test design Phi and G = Phi^T Phi / N are built once: the bias
+        is mean((targets - Phi m)^2), as :func:`bpr.predictive_batch`
+        computes it, and the spread is tr(S G).
+        """
+        phi = design_matrix(_univariate(inputs), self.prior.degree)
+        gram = phi.T @ phi / len(targets)
+
+        def terms() -> tuple[float, float]:
+            post = self.posterior
+            return (float(np.mean((targets - phi @ post.mean) ** 2)),
+                    float(np.sum(gram * post.cov)))
+        return terms
 
 
 class GprLearner:
-    """Refits a GP from scratch each call.
+    """A GP refit from scratch by each fit.
 
     With ``lengthscale_grid`` the first fit of the run picks the
     lengthscale by marginal likelihood, and every later fit keeps it.
@@ -137,13 +141,30 @@ class GprLearner:
         self.kernel = kernel
         self.noise_variance = noise_variance
         self.lengthscale_grid = lengthscale_grid
+        self.model = None
 
-    def fit(self, xs: np.ndarray, ys: np.ndarray) -> FittedModel:
+    def fit(self, xs, ys) -> "GprLearner":
         if self.lengthscale_grid:
-            model = fit_lengthscale_grid(self.kernel, xs, ys, self.noise_variance)
-            self.kernel, self.lengthscale_grid = model.kernel, False
-            return FittedModel(model)
-        return FittedModel(gp_fit(self.kernel, xs, ys, self.noise_variance))
+            self.model = fit_lengthscale_grid(self.kernel, xs, ys, self.noise_variance)
+            self.kernel, self.lengthscale_grid = self.model.kernel, False
+        else:
+            self.model = gp_fit(self.kernel, xs, ys, self.noise_variance)
+        return self
+
+    def predict_batch(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """Predictive means and variances, noise floor included."""
+        return gp_predict_batch(self.model, xs, include_noise=True)
+
+    def test_terms(self, inputs, targets) -> Callable[[], tuple[float, float]]:
+        """The recorder of the current fit's (bias, spread) over a fixed test set.
+
+        It predicts over the test inputs at each call.
+        """
+        def terms() -> tuple[float, float]:
+            means, variances = self.predict_batch(inputs)
+            return (float(np.mean((targets - means) ** 2)),
+                    float(np.mean(variances - self.noise_variance)))
+        return terms
 
 
 def run_al(
@@ -158,9 +179,10 @@ def run_al(
 ) -> RunTrace:
     """Run ``budget`` acquisitions from ``candidates[init_index]`` and return the trace.
 
-    ``candidates`` is the (n, d) pool and ``labels`` its (n,) outputs;
-    every labeled point, the initial one included, is one of its rows.
-    Step 0 records the model fit on the initial point alone. Each step
+    ``learner`` is a :class:`BprLearner` or :class:`GprLearner`, refit in
+    place at every step. ``candidates`` is the (n, d) pool and ``labels``
+    its (n,) outputs; every labeled point, the initial one included, is one
+    of its rows. Step 0 records the model fit on the initial point alone. Each step
     records the test MSE split into bias and variance against the
     noiseless targets when the test set has them (synthetic targets), and
     the MSE against the observed targets otherwise (real datasets). The rng
@@ -178,16 +200,21 @@ def run_al(
     if isinstance(strategy.gradient_bound, str):
         raise ValueError("gradient_bound must be resolved to a number before running")
 
+    clean = test.clean_outputs is not None
+    targets = test.clean_outputs if clean else test.observed_outputs
+    if len(targets) == 0:
+        raise ValueError("test set is empty")
+
     labeled = [init_index]
     active = np.ones(n, dtype=bool)
     active[init_index] = False
-    model = learner.fit(candidates[labeled], labels[labeled])
-    bias_spread = _bias_spread(test, model)
-    terms = [bias_spread(model)]
+    learner.fit(candidates[labeled], labels[labeled])
+    test_terms = learner.test_terms(test.inputs, targets)
+    terms = [test_terms()]
     surrogate = d_min = None
     if strategy.kind in (acq.DIRECT_MSE, acq.UPPER_BOUND):
         fit = gp_fit(strategy.surrogate_kernel, candidates[labeled], labels[labeled],
-                     model.noise_variance)
+                     learner.noise_variance)
         means, latent = gp_predict_batch(fit, candidates, include_noise=False)
         surrogate = PoolPredictions(fit, candidates, means, latent, budget + 1)
     if strategy.kind == acq.UPPER_BOUND:
@@ -200,12 +227,12 @@ def run_al(
         else:
             xs = candidates[indices]
             if strategy.kind == acq.VARIANCE:
-                scores = acq.score_variance(model, xs)
+                scores = acq.score_variance(learner, xs)
             elif strategy.kind == acq.DIRECT_MSE:
-                scores = acq.score_direct_mse(model, xs, surrogate.means[indices])
+                scores = acq.score_direct_mse(learner, xs, surrogate.means[indices])
             else:
                 scores = acq.score_upper_bound(
-                    model, xs, surrogate.means[indices], surrogate.latent[indices],
+                    learner, xs, surrogate.means[indices], surrogate.latent[indices],
                     d_min[indices], strategy.gradient_bound, strategy.confidence,
                     pool_size=indices.size,
                 )
@@ -216,44 +243,9 @@ def run_al(
             surrogate.append(chosen, labels[chosen])
         if d_min is not None:
             d_min = np.minimum(d_min, cdist(candidates, candidates[chosen:chosen + 1])[:, 0])
-        model = learner.fit(candidates[labeled], labels[labeled])
-        terms.append(bias_spread(model))
+        learner.fit(candidates[labeled], labels[labeled])
+        terms.append(test_terms())
 
     bias, variance = np.array(terms).T
-    clean = test.clean_outputs is not None
     return RunTrace(candidates[labeled[1:]], bias + variance,
                     bias if clean else None, variance if clean else None)
-
-
-def _bias_spread(test: TestSet, model) -> Callable[[object], tuple[float, float]]:
-    """The step recorder of a run whose first fitted model is ``model``.
-
-    It maps a fitted model to its test MSE per point split in two:
-    (target - predictive mean)^2 and the posterior spread (predictive
-    variance minus the noise floor), averaged. The targets are the
-    noiseless ones when the test set has them. For a polynomial posterior
-    N(m, S) the test design Phi and G = Phi^T Phi / N are built once: the
-    bias is mean((targets - Phi m)^2), as :func:`bpr.predictive_batch`
-    computes it, and the spread is tr(S G). A GP predicts over the test
-    inputs at each step.
-    """
-    targets = test.observed_outputs if test.clean_outputs is None else test.clean_outputs
-    if len(targets) == 0:
-        raise ValueError("test set is empty")
-    if isinstance(model, FittedModel) and isinstance(model.posterior, BprPosterior):
-        if test.inputs.shape[1] != 1:
-            raise ValueError("polynomial models are univariate")
-        phi = design_matrix(test.inputs[:, 0], model.posterior.degree)
-        gram = phi.T @ phi / len(targets)
-
-        def polynomial_terms(model) -> tuple[float, float]:
-            post = model.posterior
-            return (float(np.mean((targets - phi @ post.mean) ** 2)),
-                    float(np.sum(gram * post.cov)))
-        return polynomial_terms
-
-    def predicted_terms(model) -> tuple[float, float]:
-        means, variances = model.predict_batch(test.inputs)
-        return (float(np.mean((targets - means) ** 2)),
-                float(np.mean(variances - model.noise_variance)))
-    return predicted_terms

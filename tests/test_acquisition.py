@@ -10,7 +10,7 @@ from ual_lab.acquisition import (
     score_variance,
     select,
 )
-from ual_lab.alloop import BprLearner, FittedModel
+from ual_lab.alloop import BprLearner, GprLearner
 from ual_lab.gpr import KernelSpec, gp_fit, gp_predict_batch
 from ual_lab.rng import derive_rng
 from ual_lab.synthetic import build_pool
@@ -45,7 +45,7 @@ class TestVarianceScore:
     def test_gp_prior_ties_break_low(self):
         # one point so far away that its covariance with the pool underflows
         # to zero: every pool variance is the prior's
-        gp_model = FittedModel(gp_fit(KernelSpec("rbf"), [[100.0]], [0.0], 1.0))
+        gp_model = GprLearner(KernelSpec("rbf"), 1.0).fit([[100.0]], [0.0])
         scores = score_variance(gp_model, build_pool(5, -2, 2))
         np.testing.assert_array_equal(scores, 2.0)  # amplitude 1 plus noise 1
         assert select(np.arange(5), scores) == 0

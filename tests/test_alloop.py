@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from ual_lab import acquisition as acq
-from ual_lab import gpr
+from ual_lab import alloop, gpr
 from ual_lab.acquisition import StrategySpec
-from ual_lab.alloop import BprLearner, GprLearner, SyntheticOracle, _bias_spread, run_al
+from ual_lab.alloop import BprLearner, GprLearner, SyntheticOracle, run_al
 from ual_lab.gpr import KernelSpec, gp_fit, gp_predict_batch
 from ual_lab.rng import derive_rng
 from ual_lab.synthetic import TestSet as HoldoutSet
@@ -241,21 +241,27 @@ class TestOracles:
 class TestTestMse:
     """The test MSE that ``run_al`` records at step 0 for a given fitted model."""
 
-    class _PerfectModel:
-        noise_variance = 1.0
+    class _PerfectModel(GprLearner):
+        """A GP learner that predicts the given outputs wherever it is asked."""
 
         def __init__(self, clean):
+            super().__init__(KernelSpec("rbf"), 1.0)
             self._clean = clean
 
         def predict_batch(self, xs):
             return self._clean.copy(), np.ones(len(self._clean))  # spread zero
 
     class _FixedLearner:
+        """Keeps ``model``'s fit, whatever ``run_al`` fits it on."""
+
         def __init__(self, model):
             self.model = model
 
         def fit(self, xs, ys):
-            return self.model
+            return self
+
+        def test_terms(self, inputs, targets):
+            return self.model.test_terms(inputs, targets)
 
     def _recorded_mse(self, model, test):
         trace = run_al(self._FixedLearner(model), StrategySpec("random"),
@@ -291,29 +297,81 @@ class TestTestMse:
 
 
 @pytest.mark.parametrize("clean", [True, False], ids=["clean", "observed"])
-@pytest.mark.parametrize("degree", range(6))
+@pytest.mark.parametrize("degree", [*range(6), pytest.param(None, id="gp")])
 def test_step_terms_match_test_set_predictions(degree, clean):
-    # the per-run test Gram gives the terms that predicting every test row gives
-    _, labels, pool, init, test = _setup(seed=degree, pool_n=30, test_n=200)
+    # a BPR learner's per-run test Gram, and a GP learner's recorder, give the
+    # terms that predicting every test row from scratch gives
+    seed = 6 if degree is None else degree
+    _, labels, pool, init, test = _setup(seed=seed, pool_n=30, test_n=200)
     if not clean:
         test = HoldoutSet(test.inputs, test.observed_outputs, None)
     targets = test.clean_outputs if clean else test.observed_outputs
-    learner = BprLearner(degree, 1.0)
+    kernel = KernelSpec("rbf")
+    learner = BprLearner(degree, 1.0) if degree is not None else GprLearner(kernel, 1.0)
     trace = run_al(learner, StrategySpec("variance"), pool, labels, init, test, 15,
-                   derive_rng(70, degree, 4))
+                   derive_rng(70, seed, 4))
     order = [init] + [int(np.flatnonzero(pool[:, 0] == x)[0]) for x in trace.chosen_x[:, 0]]
-    models = [learner.fit(pool[order[:k]], labels[order[:k]]) for k in range(1, len(order) + 1)]
-    record = _bias_spread(test, models[0])
-    for step, model in enumerate(models):
-        means, variances = model.predict_batch(test.inputs)
+    record = learner.test_terms(test.inputs, targets)
+    for step in range(len(order)):
+        xs, ys = pool[order[:step + 1]], labels[order[:step + 1]]
+        model = learner.fit(xs, ys)
+        if degree is None:
+            means, variances = gp_predict_batch(gp_fit(kernel, xs, ys, 1.0), test.inputs)
+        else:
+            means, variances = model.predict_batch(test.inputs)
         bias = float(np.mean((targets - means) ** 2))
         spread = float(np.mean(variances - model.noise_variance))
-        got_bias, got_spread = record(model)
+        got_bias, got_spread = record()
         assert got_bias == bias
         assert got_spread == pytest.approx(spread, rel=1e-12, abs=0.0)
         assert trace.test_mse[step] == pytest.approx(bias + spread, rel=1e-12, abs=0.0)
         if clean:
             assert (trace.bias[step], trace.variance[step]) == (got_bias, got_spread)
+
+
+def test_bpr_run_builds_its_test_design_once(monkeypatch):
+    # the per-run test Gram: a BPR run of budget B over N test points builds
+    # about N test-design rows in all, not N per step
+    rows = []
+    design = alloop.design_matrix
+
+    def counting(xs, degree):
+        phi = design(xs, degree)
+        rows.append(phi.shape[0])
+        return phi
+
+    monkeypatch.setattr(alloop, "design_matrix", counting)
+    _, labels, pool, init, test = _setup(seed=8, pool_n=40, test_n=300)
+    budget = 30
+    run_al(BprLearner(3, 1.0), StrategySpec("variance"), pool, labels, init, test, budget,
+           derive_rng(70, 8, 4))
+    # the test design once, plus at most one training row per fit
+    assert len(test.inputs) <= sum(rows) <= len(test.inputs) + budget + 1
+
+
+def test_lengthscale_grid_picks_on_the_first_fit_only(monkeypatch):
+    grid_sizes, fit_kernels = [], []
+    grid, fit = alloop.fit_lengthscale_grid, alloop.gp_fit
+
+    def recording_grid(spec, xs, ys, noise_variance):
+        grid_sizes.append(len(ys))
+        return grid(spec, xs, ys, noise_variance)
+
+    def recording_fit(spec, xs, ys, noise_variance):
+        fit_kernels.append(spec)
+        return fit(spec, xs, ys, noise_variance)
+
+    monkeypatch.setattr(alloop, "fit_lengthscale_grid", recording_grid)
+    monkeypatch.setattr(alloop, "gp_fit", recording_fit)
+    _, labels, pool, init, test = _setup(seed=9)
+    budget = 8
+    learner = GprLearner(KernelSpec("rbf", lengthscale=0.5), 0.1, lengthscale_grid=True)
+    run_al(learner, StrategySpec("variance"), pool, labels, init, test, budget,
+           derive_rng(70, 9, 4))
+    assert grid_sizes == [1]
+    assert learner.kernel.lengthscale in gpr.LENGTHSCALE_GRID
+    # every later fit is a plain fit at the lengthscale the grid chose
+    assert fit_kernels == [learner.kernel] * budget
 
 
 def test_paired_runs_share_step_zero():
@@ -326,16 +384,16 @@ def test_paired_runs_share_step_zero():
     assert (a.test_mse[0], a.bias[0], a.variance[0]) == (b.test_mse[0], b.bias[0], b.variance[0])
 
 
-class _RecordingLearner:
+class _RecordingLearner(BprLearner):
     """A degree-1 polynomial learner that remembers the data of every fit."""
 
     def __init__(self):
-        self._learner = BprLearner(1, 1.0)
+        super().__init__(1, 1.0)
         self.fits = []
 
     def fit(self, xs, ys):
         self.fits.append((xs.copy(), np.array(ys, dtype=float)))
-        return self._learner.fit(xs, ys)
+        return super().fit(xs, ys)
 
 
 @st.composite
