@@ -1,42 +1,51 @@
 """Pool-based active learning driver.
 
-One run works on indices into one candidate array and its label array:
-fit on the initial candidate, record step 0, then repeatedly score the
-still-unlabeled candidates, take the winner's label, refit the learner
-from scratch, and record the test error. Learner refits are always on the
-full labeled set, so the final model depends only on which points were
-acquired, not in what order. The surrogate GP of ``direct_mse`` and
-``upper_bound`` is fit once on the initial point; its pool means and
-latent variances are then kept current by :class:`gpr.PoolPredictions`
-at O(nm) per label for a pool of m, and ``upper_bound``'s distance from
-each candidate to the nearest labeled one by a running minimum at O(m).
-Each learner is its own fitted model: ``fit`` refits it in place, and the
-loop, the acquisition scores and the step recorder all go through its
-``predict_batch``, ``noise_variance`` and ``test_terms``.
+One run works on indices into one candidate array and its label array. A
+selection loop picks the labeled order: fit on the initial candidate,
+then repeatedly score the still-unlabeled candidates and take the
+winner's label. The learner is refit from scratch, on the full labeled
+set, only before a step whose score reads it (``variance``,
+``direct_mse``, ``upper_bound``); a random run fits once, on the initial
+point. The surrogate GP of ``direct_mse`` and ``upper_bound`` is fit once
+on the initial point; its pool means and latent variances are then kept
+current by :class:`gpr.PoolPredictions` at O(nm) per label for a pool of
+m, and ``upper_bound``'s distance from each candidate to the nearest
+labeled one by a running minimum at O(m).
 
-A polynomial posterior N(m, S) has predictive variance
-phi(x)^T S phi(x) + sigma^2 (Bishop 2006, PRML 3.3.2), so its mean over
-the N test inputs is tr(S G) + sigma^2 with G = Phi^T Phi / N fixed for
-the run: a BPR step's test terms cost O(k^2) whatever N is. A GP run
-still predicts over the test inputs at every step.
+After the loop, the learner's ``curve`` computes the test error of the
+fit on every prefix of the labeled order in one batched pass. A BPR
+posterior depends only on running sums of phi phi^T and phi y (Bishop
+2006, PRML 3.3), and its mean predictive variance over the N test inputs
+is tr(S G) + sigma^2 with G = Phi^T Phi / N built once. A GP's prefix
+Cholesky factors are the leading blocks of one factor of the whole order
+(Rasmussen & Williams 2006, Alg. 2.1), so one factorization and two
+forward solves give every prefix's test means and variances. Neither
+learner predicts the test set inside the loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import acquisition as acq
-from .bpr import default_prior, design_matrix, posterior_update, predictive_batch
+from .bpr import (
+    default_prior,
+    design_matrix,
+    posterior_update,
+    predictive_batch,
+    prefix_posteriors,
+)
 from .gpr import (
     KernelSpec,
     PoolPredictions,
     fit_lengthscale_grid,
     gp_fit,
     gp_predict_batch,
+    prefix_predictions,
 )
 from .rng import derive_rng
 from .synthetic import GroundTruthTarget, TestSet, eval_target
@@ -112,21 +121,20 @@ class BprLearner:
         """Predictive means and variances, noise floor included."""
         return predictive_batch(self.posterior, _univariate(xs))
 
-    def test_terms(self, inputs, targets) -> Callable[[], tuple[float, float]]:
-        """The recorder of the current fit's (bias, spread) over a fixed test set.
+    def curve(self, xs, ys, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
+        """(bias, spread) over a fixed test set of the fit on every prefix of (xs, ys).
 
-        The test design Phi and G = Phi^T Phi / N are built once: the bias
-        is mean((targets - Phi m)^2), as :func:`bpr.predictive_batch`
-        computes it, and the spread is tr(S G).
+        Entry t belongs to the first t + 1 points. With the test design Phi
+        built once, the bias is mean((targets - Phi m_t)^2), as
+        :func:`bpr.predictive_batch` gives it, and the spread tr(S_t G) with
+        G = Phi^T Phi / N.
         """
+        means, covs = prefix_posteriors(self.prior, _univariate(xs), ys)
         phi = design_matrix(_univariate(inputs), self.prior.degree)
         gram = phi.T @ phi / len(targets)
-
-        def terms() -> tuple[float, float]:
-            post = self.posterior
-            return (float(np.mean((targets - phi @ post.mean) ** 2)),
-                    float(np.sum(gram * post.cov)))
-        return terms
+        resid = means @ phi.T  # the one (steps, test) array, reused in place
+        np.subtract(targets, resid, out=resid)
+        return np.mean(np.square(resid, out=resid), axis=1), np.einsum("tij,ij->t", covs, gram)
 
 
 class GprLearner:
@@ -155,16 +163,16 @@ class GprLearner:
         """Predictive means and variances, noise floor included."""
         return gp_predict_batch(self.model, xs, include_noise=True)
 
-    def test_terms(self, inputs, targets) -> Callable[[], tuple[float, float]]:
-        """The recorder of the current fit's (bias, spread) over a fixed test set.
+    def curve(self, xs, ys, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
+        """(bias, spread) over a fixed test set of the fit on every prefix of (xs, ys).
 
-        It predicts over the test inputs at each call.
+        Entry t belongs to the first t + 1 points, at the kernel the first
+        fit chose. The bias is mean((targets - mean_t)^2) and the spread
+        the mean latent variance.
         """
-        def terms() -> tuple[float, float]:
-            means, variances = self.predict_batch(inputs)
-            return (float(np.mean((targets - means) ** 2)),
-                    float(np.mean(variances - self.noise_variance)))
-        return terms
+        means, latent = prefix_predictions(self.kernel, xs, ys, self.noise_variance, inputs)
+        resid = np.subtract(targets, means, out=means)
+        return np.mean(np.square(resid, out=resid), axis=1), latent.mean(axis=1)
 
 
 def run_al(
@@ -179,15 +187,17 @@ def run_al(
 ) -> RunTrace:
     """Run ``budget`` acquisitions from ``candidates[init_index]`` and return the trace.
 
-    ``learner`` is a :class:`BprLearner` or :class:`GprLearner`, refit in
-    place at every step. ``candidates`` is the (n, d) pool and ``labels``
-    its (n,) outputs; every labeled point, the initial one included, is one
-    of its rows. Step 0 records the model fit on the initial point alone. Each step
-    records the test MSE split into bias and variance against the
-    noiseless targets when the test set has them (synthetic targets), and
-    the MSE against the observed targets otherwise (real datasets). The rng
-    is consumed only by the random strategy, so selection and model are
-    fully decoupled for the baselines.
+    ``learner`` is a :class:`BprLearner` or :class:`GprLearner`, fit in
+    place on the initial candidate and refit before each later step whose
+    score reads it. ``candidates`` is the (n, d) pool and ``labels`` its
+    (n,) outputs; every labeled point, the initial one included, is one of
+    its rows. Once the order is picked, ``learner.curve`` gives the test
+    error of the fit on each of its prefixes, step 0 being the initial
+    point alone: split into bias and variance against the noiseless
+    targets when the test set has them (synthetic targets), and the MSE
+    against the observed targets otherwise (real datasets). The rng is
+    consumed only by the random strategy, so selection and model are fully
+    decoupled for the baselines.
     """
     n = candidates.shape[0]
     if labels.shape != (n,):
@@ -209,8 +219,6 @@ def run_al(
     active = np.ones(n, dtype=bool)
     active[init_index] = False
     learner.fit(candidates[labeled], labels[labeled])
-    test_terms = learner.test_terms(test.inputs, targets)
-    terms = [test_terms()]
     surrogate = d_min = None
     if strategy.kind in (acq.DIRECT_MSE, acq.UPPER_BOUND):
         fit = gp_fit(strategy.surrogate_kernel, candidates[labeled], labels[labeled],
@@ -220,11 +228,13 @@ def run_al(
     if strategy.kind == acq.UPPER_BOUND:
         d_min = cdist(candidates, candidates[labeled])[:, 0]
 
-    for _ in range(budget):
+    for step in range(budget):
         indices = np.flatnonzero(active)
         if strategy.kind == acq.RANDOM:
             chosen = acq.score_random(rng, indices)
         else:
+            if step:
+                learner.fit(candidates[labeled], labels[labeled])
             xs = candidates[indices]
             if strategy.kind == acq.VARIANCE:
                 scores = acq.score_variance(learner, xs)
@@ -243,9 +253,8 @@ def run_al(
             surrogate.append(chosen, labels[chosen])
         if d_min is not None:
             d_min = np.minimum(d_min, cdist(candidates, candidates[chosen:chosen + 1])[:, 0])
-        learner.fit(candidates[labeled], labels[labeled])
-        terms.append(test_terms())
 
-    bias, variance = np.array(terms).T
-    return RunTrace(candidates[labeled[1:]], bias + variance,
+    xs = candidates[labeled]
+    bias, variance = learner.curve(xs, labels[labeled], test.inputs, targets)
+    return RunTrace(xs[1:], bias + variance,
                     bias if clean else None, variance if clean else None)

@@ -20,6 +20,7 @@ __all__ = [
     "feature_map",
     "design_matrix",
     "posterior_update",
+    "prefix_posteriors",
     "predictive_batch",
     "default_prior",
 ]
@@ -110,6 +111,32 @@ def posterior_update(prior: BprPrior, xs, ys) -> BprPosterior:
     rhs = prior.precision @ prior.mean + (phi.T @ ys) / prior.noise_variance
     mean = chol_solve_vec(lower, rhs)
     return BprPosterior(prior.degree, mean, cov, prior.noise_variance)
+
+
+def prefix_posteriors(prior: BprPrior, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior means (n, k) and covariances (n, k, k) of every prefix of (xs, ys).
+
+    Row t is the :func:`posterior_update` on the first t + 1 observations.
+    Its precision and right-hand side are running sums of phi phi^T and
+    phi y (Bishop 2006, PRML 3.3), so one cumulative sum and one stacked
+    solve of [I | rhs] give every prefix. A non-finite label raises
+    ``ValueError``, as the Cholesky solve does there.
+    """
+    xs = np.asarray(xs, dtype=float).reshape(-1)
+    ys = np.asarray(ys, dtype=float).reshape(-1)
+    if xs.shape != ys.shape:
+        raise ValueError("xs and ys must have equal length")
+    if not np.isfinite(ys).all():
+        raise ValueError(f"label {ys[~np.isfinite(ys)][0]} is not finite")
+    phi = design_matrix(xs, prior.degree)
+    n, k = phi.shape
+    nv = prior.noise_variance
+    precisions = prior.precision + np.cumsum(phi[:, :, None] * phi[:, None, :], axis=0) / nv
+    rhs = prior.precision @ prior.mean + np.cumsum(phi * ys[:, None], axis=0) / nv
+    both = np.linalg.solve(precisions, np.concatenate(
+        [np.broadcast_to(np.eye(k), (n, k, k)), rhs[:, :, None]], axis=2))
+    covs = both[:, :, :k]
+    return both[:, :, k], 0.5 * (covs + covs.transpose(0, 2, 1))
 
 
 def predictive_batch(post: BprPosterior, xs) -> tuple[np.ndarray, np.ndarray]:

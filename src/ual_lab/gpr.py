@@ -32,6 +32,7 @@ __all__ = [
     "gp_fit",
     "PoolPredictions",
     "gp_predict_batch",
+    "prefix_predictions",
     "log_marginal_likelihood",
     "fit_lengthscale_grid",
     "LENGTHSCALE_GRID",
@@ -140,6 +141,35 @@ def gp_predict_batch(
     if include_noise:
         variances = variances + model.noise_variance
     return means, variances
+
+
+def prefix_predictions(
+    spec: KernelSpec, xs, ys, noise_variance: float, points
+) -> tuple[np.ndarray, np.ndarray]:
+    """Latent means and variances at ``points`` of the fit on every prefix of (xs, ys).
+
+    Row t is ``gp_predict_batch(gp_fit(spec, xs[:t + 1], ys[:t + 1], ...),
+    points, include_noise=False)``. The Cholesky factor of a prefix's Gram
+    matrix is the leading block of the full one's (Rasmussen & Williams
+    2006, Alg. 2.1), so one factorization and two forward solves serve
+    every prefix: with V = L^-1 K(X, points) and z = L^-1 y, the means are
+    running sums of V's rows weighted by z and the variances k(p, p) minus
+    running sums of V's squared rows. A non-finite label raises
+    ``ValueError`` in the solve.
+    """
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    ys = np.asarray(ys, dtype=float).reshape(-1)
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if xs.shape[0] != ys.shape[0]:
+        raise ValueError("xs and ys must have equal length")
+    lower = chol_spd(kernel_matrix(spec, xs, xs) + noise_variance * np.eye(xs.shape[0]))
+    cross = solve_lower(lower, kernel_matrix(spec, xs, points))
+    z = solve_lower(lower, ys)
+    latent = np.square(cross)
+    np.cumsum(latent, axis=0, out=latent)
+    np.subtract(_prior_diag(spec, points), latent, out=latent)
+    cross *= z[:, None]
+    return np.cumsum(cross, axis=0, out=cross), latent
 
 
 def _prior_diag(spec: KernelSpec, xs: np.ndarray) -> np.ndarray:

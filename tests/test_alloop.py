@@ -8,6 +8,7 @@ from ual_lab import acquisition as acq
 from ual_lab import alloop, gpr
 from ual_lab.acquisition import StrategySpec
 from ual_lab.alloop import BprLearner, GprLearner, SyntheticOracle, run_al
+from ual_lab.bpr import posterior_update, predictive_batch
 from ual_lab.gpr import KernelSpec, gp_fit, gp_predict_batch
 from ual_lab.rng import derive_rng
 from ual_lab.synthetic import TestSet as HoldoutSet
@@ -241,15 +242,16 @@ class TestOracles:
 class TestTestMse:
     """The test MSE that ``run_al`` records at step 0 for a given fitted model."""
 
-    class _PerfectModel(GprLearner):
-        """A GP learner that predicts the given outputs wherever it is asked."""
+    class _PerfectModel:
+        """Predicts the given outputs wherever it is asked, with spread zero."""
+
+        noise_variance = 1.0
 
         def __init__(self, clean):
-            super().__init__(KernelSpec("rbf"), 1.0)
             self._clean = clean
 
         def predict_batch(self, xs):
-            return self._clean.copy(), np.ones(len(self._clean))  # spread zero
+            return self._clean.copy(), np.ones(len(self._clean))
 
     class _FixedLearner:
         """Keeps ``model``'s fit, whatever ``run_al`` fits it on."""
@@ -260,8 +262,11 @@ class TestTestMse:
         def fit(self, xs, ys):
             return self
 
-        def test_terms(self, inputs, targets):
-            return self.model.test_terms(inputs, targets)
+        def curve(self, xs, ys, inputs, targets):
+            means, variances = self.model.predict_batch(inputs)
+            bias = np.mean((targets - means) ** 2)
+            spread = np.mean(variances - self.model.noise_variance)
+            return np.full(len(ys), bias), np.full(len(ys), spread)
 
     def _recorded_mse(self, model, test):
         trace = run_al(self._FixedLearner(model), StrategySpec("random"),
@@ -299,34 +304,82 @@ class TestTestMse:
 @pytest.mark.parametrize("clean", [True, False], ids=["clean", "observed"])
 @pytest.mark.parametrize("degree", [*range(6), pytest.param(None, id="gp")])
 def test_step_terms_match_test_set_predictions(degree, clean):
-    # a BPR learner's per-run test Gram, and a GP learner's recorder, give the
-    # terms that predicting every test row from scratch gives
+    # the curve's one pass over the labeled order gives, for every prefix, the
+    # terms that a from-scratch fit on that prefix predicts over the test rows;
+    # both strategies run in each case
     seed = 6 if degree is None else degree
     _, labels, pool, init, test = _setup(seed=seed, pool_n=30, test_n=200)
     if not clean:
         test = HoldoutSet(test.inputs, test.observed_outputs, None)
     targets = test.clean_outputs if clean else test.observed_outputs
     kernel = KernelSpec("rbf")
-    learner = BprLearner(degree, 1.0) if degree is not None else GprLearner(kernel, 1.0)
-    trace = run_al(learner, StrategySpec("variance"), pool, labels, init, test, 15,
-                   derive_rng(70, seed, 4))
-    order = [init] + [int(np.flatnonzero(pool[:, 0] == x)[0]) for x in trace.chosen_x[:, 0]]
-    record = learner.test_terms(test.inputs, targets)
-    for step in range(len(order)):
-        xs, ys = pool[order[:step + 1]], labels[order[:step + 1]]
-        model = learner.fit(xs, ys)
-        if degree is None:
-            means, variances = gp_predict_batch(gp_fit(kernel, xs, ys, 1.0), test.inputs)
-        else:
-            means, variances = model.predict_batch(test.inputs)
-        bias = float(np.mean((targets - means) ** 2))
-        spread = float(np.mean(variances - model.noise_variance))
-        got_bias, got_spread = record()
-        assert got_bias == bias
-        assert got_spread == pytest.approx(spread, rel=1e-12, abs=0.0)
-        assert trace.test_mse[step] == pytest.approx(bias + spread, rel=1e-12, abs=0.0)
+    for kind in ("variance", "random"):
+        learner = BprLearner(degree, 1.0) if degree is not None else GprLearner(kernel, 1.0)
+        trace = run_al(learner, StrategySpec(kind), pool, labels, init, test, 15,
+                       derive_rng(70, seed, 4))
+        order = [init] + [int(np.flatnonzero(pool[:, 0] == x)[0]) for x in trace.chosen_x[:, 0]]
+        got_bias, got_spread = learner.curve(pool[order], labels[order], test.inputs, targets)
+        assert got_bias.shape == got_spread.shape == (len(order),)
+        np.testing.assert_array_equal(trace.test_mse, got_bias + got_spread)
         if clean:
-            assert (trace.bias[step], trace.variance[step]) == (got_bias, got_spread)
+            np.testing.assert_array_equal(trace.bias, got_bias)
+            np.testing.assert_array_equal(trace.variance, got_spread)
+        for step in range(len(order)):
+            xs, ys = pool[order[:step + 1]], labels[order[:step + 1]]
+            if degree is None:
+                means, variances = gp_predict_batch(gp_fit(kernel, xs, ys, 1.0), test.inputs)
+            else:
+                post = posterior_update(learner.prior, xs[:, 0], ys)
+                means, variances = predictive_batch(post, test.inputs[:, 0])
+            bias = float(np.mean((targets - means) ** 2))
+            spread = float(np.mean(variances - 1.0))
+            assert got_bias[step] == pytest.approx(bias, rel=1e-12, abs=0.0), (kind, step)
+            assert got_spread[step] == pytest.approx(spread, rel=1e-12, abs=0.0), (kind, step)
+
+
+def test_curve_replaces_the_per_step_test_predictions(monkeypatch):
+    # a random BPR run fits once, on the initial point, and a GP run predicts
+    # over the pool only: the test error comes from the curve's one pass
+    _, labels, pool, init, test = _setup(seed=10, pool_n=40, test_n=120)
+    budget = 20
+    updates = []
+    update = alloop.posterior_update
+
+    def counting_update(prior, xs, ys):
+        updates.append(len(ys))
+        return update(prior, xs, ys)
+
+    monkeypatch.setattr(alloop, "posterior_update", counting_update)
+    run_al(BprLearner(3, 1.0), StrategySpec("random"), pool, labels, init, test, budget,
+           derive_rng(70, 10, 4))
+    assert updates == [1]
+
+    predicted = []
+    predict = alloop.gp_predict_batch
+
+    def recording_predict(model, xs, include_noise=True):
+        predicted.append(np.atleast_2d(np.asarray(xs, dtype=float)).shape[0])
+        return predict(model, xs, include_noise)
+
+    monkeypatch.setattr(alloop, "gp_predict_batch", recording_predict)
+    run_al(GprLearner(KernelSpec("matern52"), 1.0), StrategySpec("variance"), pool, labels,
+           init, test, budget, derive_rng(70, 10, 4))
+    # one pool prediction per step, shrinking with the active candidates
+    assert predicted == list(range(len(pool) - 1, len(pool) - 1 - budget, -1))
+
+
+@pytest.mark.parametrize("learner", [
+    pytest.param(lambda: BprLearner(2, 1.0), id="bpr"),
+    pytest.param(lambda: GprLearner(KernelSpec("rbf"), 1.0), id="gp"),
+])
+def test_non_finite_label_in_a_random_run_raises(learner):
+    # a random run fits only its initial point, so the curve meets the label
+    _, labels, pool, init, test = _setup(seed=11)
+    labels = labels.copy()
+    labels[np.arange(len(pool)) != init] = np.nan
+    with pytest.raises(ValueError, match="finite|NaN"):
+        run_al(learner(), StrategySpec("random"), pool, labels, init, test, 5,
+               derive_rng(70, 11, 4))
 
 
 def test_bpr_run_builds_its_test_design_once(monkeypatch):
@@ -370,8 +423,9 @@ def test_lengthscale_grid_picks_on_the_first_fit_only(monkeypatch):
            derive_rng(70, 9, 4))
     assert grid_sizes == [1]
     assert learner.kernel.lengthscale in gpr.LENGTHSCALE_GRID
-    # every later fit is a plain fit at the lengthscale the grid chose
-    assert fit_kernels == [learner.kernel] * budget
+    # every later fit, one before each later pick, is a plain fit at the
+    # lengthscale the grid chose
+    assert fit_kernels == [learner.kernel] * (budget - 1)
 
 
 def test_paired_runs_share_step_zero():
@@ -385,15 +439,20 @@ def test_paired_runs_share_step_zero():
 
 
 class _RecordingLearner(BprLearner):
-    """A degree-1 polynomial learner that remembers the data of every fit."""
+    """A degree-1 polynomial learner that remembers the data of every fit and curve."""
 
     def __init__(self):
         super().__init__(1, 1.0)
         self.fits = []
+        self.curves = []
 
     def fit(self, xs, ys):
         self.fits.append((xs.copy(), np.array(ys, dtype=float)))
         return super().fit(xs, ys)
+
+    def curve(self, xs, ys, inputs, targets):
+        self.curves.append((xs.copy(), np.array(ys, dtype=float)))
+        return super().curve(xs, ys, inputs, targets)
 
 
 @st.composite
@@ -414,17 +473,22 @@ def test_each_label_is_a_distinct_pool_candidate(case):
     test = build_test_set(10, -2, 2, sample_target(2, derive_rng(74, 0)), derive_rng(74, 1))
     learner = _RecordingLearner()
     trace = run_al(learner, spec, pool, labels, init_idx, test, budget, derive_rng(74, 2))
-    # the pool rows are distinct, so each fitted row names its candidate
-    assert len(learner.fits) == budget + 1
-    for size, (xs, ys) in enumerate(learner.fits, start=1):
-        assert xs.shape == (size, 1) and ys.shape == (size,)
-        rows = [int(np.flatnonzero(pool[:, 0] == x)[0]) for x in xs[:, 0]]
-        np.testing.assert_array_equal(ys, labels[rows])
-        # each fit adds the step's chosen candidate to the previous fit's rows
-        if size > 1:
-            np.testing.assert_array_equal(xs[:-1], learner.fits[size - 2][0])
-            np.testing.assert_array_equal(xs[-1], trace.chosen_x[size - 2])
-    assert learner.fits[0][0][0, 0] == pool[init_idx, 0]
+    # the curve sees the whole labeled order once; the pool rows are
+    # distinct, so each row names its candidate
+    assert len(learner.curves) == 1
+    xs, ys = learner.curves[0]
+    assert xs.shape == (budget + 1, 1) and ys.shape == (budget + 1,)
+    rows = [int(np.flatnonzero(pool[:, 0] == x)[0]) for x in xs[:, 0]]
+    np.testing.assert_array_equal(ys, labels[rows])
+    assert rows[0] == init_idx
+    np.testing.assert_array_equal(xs[1:], trace.chosen_x)
+    # the initial point is fit; a model-based score refits on the order so far
+    # before each later pick, and nothing refits after the last one
+    fits = 1 if kind == "random" else max(budget, 1)
+    assert len(learner.fits) == fits
+    for size, (fit_xs, fit_ys) in enumerate(learner.fits, start=1):
+        np.testing.assert_array_equal(fit_xs, xs[:size])
+        np.testing.assert_array_equal(fit_ys, ys[:size])
     chosen = trace.chosen_x[:, 0]
     assert trace.chosen_x.shape == (budget, 1)
     assert len(set(chosen)) == budget and pool[init_idx, 0] not in chosen

@@ -8,6 +8,7 @@ from ual_lab.bpr import (
     feature_map,
     posterior_update,
     predictive_batch,
+    prefix_posteriors,
 )
 from ual_lab.rng import derive_rng
 
@@ -165,3 +166,23 @@ def test_posterior_concentrates_on_true_coefficients():
             errs[n] = np.linalg.norm(post.mean - w)
         wins += errs[200] < errs[10]
     assert wins >= 95
+
+
+@pytest.mark.parametrize("degree", range(6))
+def test_prefix_posteriors_equal_an_update_per_prefix(degree):
+    # running sums of phi phi^T and phi y give every prefix's posterior
+    rng = derive_rng(36, degree)
+    xs, ys = rng.uniform(-2, 2, 40), rng.standard_normal(40)
+    prior = default_prior(degree, 0.5)
+    means, covs = prefix_posteriors(prior, xs, ys)
+    assert means.shape == (40, degree + 1) and covs.shape == (40, degree + 1, degree + 1)
+    for t in range(40):
+        post = posterior_update(prior, xs[:t + 1], ys[:t + 1])
+        np.testing.assert_allclose(means[t], post.mean, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(covs[t], post.cov, rtol=1e-10, atol=1e-12)
+        np.testing.assert_array_equal(covs[t], covs[t].T)
+
+
+def test_prefix_posteriors_reject_a_non_finite_label():
+    with pytest.raises(ValueError, match="not finite"):
+        prefix_posteriors(default_prior(1), [0.0, 1.0], [1.0, np.inf])

@@ -374,6 +374,19 @@ class TestCli:
         assert re.match(r"error: run failed at seed 0, model gpr_linear, strategy variance: "
                         r"Cholesky failed for (\d+)x\1 matrix", capsys.readouterr().err)
 
+    def test_noiseless_linear_gp_random_run_exits_2_naming_the_run(self, tmp_path, capsys):
+        # a random run fits only its initial point; the curve's one factorization
+        # of the whole labeled order's Gram matrix fails as loudly as a refit would
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_small_config(
+            n_seeds=1, budget=60, pool={"n": 200, "lo": -2.0, "hi": 2.0},
+            target={"kind": "synthetic", "order": 3, "noise_variance": 0},
+            models=[{"kind": "gpr", "kernel": {"kind": "linear"}}],
+            strategies=[{"kind": "random"}])))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert re.match(r"error: run failed at seed 0, model gpr_linear, strategy random: "
+                        r"Cholesky failed for 61x61 matrix", capsys.readouterr().err)
+
     @pytest.mark.parametrize("split_keys, message", [
         pytest.param({"subsample": 600}, "subsample 600 exceeds the dataset's 40 rows",
                      id="subsample-over-rows"),

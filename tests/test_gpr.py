@@ -13,6 +13,7 @@ from ual_lab.gpr import (
     gp_predict_batch,
     kernel_matrix,
     log_marginal_likelihood,
+    prefix_predictions,
 )
 from ual_lab.rng import derive_rng
 
@@ -191,3 +192,18 @@ class TestAppend:
         grown = _pool_start(KernelSpec("rbf"), np.array([[0.0], [1.0]]), 0, 1.0, 1.0, 2)
         with pytest.raises(ValueError, match="not finite"):
             grown.append(1, np.nan)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_append_cases())
+def test_prefix_predictions_equal_a_fit_per_prefix(case):
+    # the leading blocks of one factor of the whole order serve every prefix
+    spec, noise, pool, order, ys = case
+    means, latent = prefix_predictions(spec, pool[order], ys, noise, pool)
+    assert means.shape == latent.shape == (len(order), len(pool))
+    tol = {"rtol": 1e-10, "atol": 1e-12}
+    for t in range(len(order)):
+        fit = gp_fit(spec, pool[order[:t + 1]], ys[:t + 1], noise)
+        want_means, want_latent = gp_predict_batch(fit, pool, include_noise=False)
+        np.testing.assert_allclose(means[t], want_means, **tol)
+        np.testing.assert_allclose(latent[t], want_latent, **tol)
