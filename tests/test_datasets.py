@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from conftest import CONCRETE_HEADER, write_concrete_csv as _write_concrete
@@ -10,6 +12,7 @@ from ual_lab.datasets import (
     split,
 )
 from ual_lab.errors import DataError
+from ual_lab.expcli import main
 from ual_lab.rng import derive_rng
 
 
@@ -178,3 +181,79 @@ class TestStandardizer:
         assert "flyash" in st.dropped_names
         assert "flyash" not in out.feature_names
         assert out.features.shape[1] == 7
+
+
+class TestRejected:
+    """The branches that turn unusable input into a DataError or a dropped row."""
+
+    def _schema(self, tmp_path, text):
+        path = tmp_path / "schema.json"
+        path.write_text(text)
+        return path
+
+    def test_unsupported_delimiter(self, tmp_path):
+        schema = self._schema(tmp_path, '{"delimiter": "|", "target": "y", "features": ["x"]}')
+        (tmp_path / "d.csv").write_text("x|y\n1|2\n")
+        with pytest.raises(DataError, match=r"unsupported delimiter '\|'"):
+            load_csv(tmp_path / "d.csv", schema)
+
+    def test_categorical_column_not_a_feature(self, tmp_path):
+        schema = self._schema(tmp_path, '{"delimiter": ",", "target": "y", "features": ["x"],'
+                                        ' "categorical": ["kind"]}')
+        (tmp_path / "d.csv").write_text("x,kind,y\n1,a,2\n")
+        with pytest.raises(DataError, match=r"categorical columns not in features: \['kind'\]"):
+            load_csv(tmp_path / "d.csv", schema)
+
+    def test_empty_csv(self, tmp_path):
+        (tmp_path / "d.csv").write_text("")
+        with pytest.raises(DataError, match="d.csv: empty file"):
+            load_csv(tmp_path / "d.csv", "concrete")
+
+    def test_missing_schema_file(self, tmp_path):
+        _write_concrete(tmp_path / "d.csv")
+        with pytest.raises(DataError, match="schema file not found"):
+            load_csv(tmp_path / "d.csv", tmp_path / "absent.json")
+
+    def test_schema_without_delimiter(self, tmp_path):
+        schema = self._schema(tmp_path, '{"target": "y", "features": ["x"]}')
+        (tmp_path / "d.csv").write_text("x,y\n1,2\n")
+        with pytest.raises(DataError, match="schema 'schema' is missing key 'delimiter'"):
+            load_csv(tmp_path / "d.csv", schema)
+
+    def test_short_and_infinite_rows_dropped_and_counted(self, tmp_path):
+        short = ",".join(["1"] * 8)                      # one field fewer than the header
+        infinite = ",".join(["2"] * 4 + ["inf"] + ["2"] * 4)
+        good = ",".join(["3"] * 9)
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join([CONCRETE_HEADER, short, infinite, good]) + "\n")
+        ds = load_csv(path, "concrete")
+        np.testing.assert_array_equal(ds.features, np.full((1, 8), 3.0))
+        np.testing.assert_array_equal(ds.targets, [3.0])
+        path.write_text("\n".join([CONCRETE_HEADER, short, infinite]) + "\n")
+        with pytest.raises(DataError, match=r"no usable rows \(dropped 2\)"):
+            load_csv(path, "concrete")
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.25, 1.5])
+    def test_test_fraction_outside_the_unit_interval(self, tmp_path, fraction):
+        _write_concrete(tmp_path / "d.csv", n_rows=8)
+        ds = load_csv(tmp_path / "d.csv", "concrete")
+        with pytest.raises(ValueError, match=r"test_fraction must lie in \(0, 1\)"):
+            split(ds, fraction, derive_rng(84, 0))
+
+    def test_constant_train_target_exits_2(self, tmp_path, capsys):
+        rng = derive_rng(84, 1)
+        rows = [",".join(f"{v:.3f}" for v in rng.uniform(0, 100, 8)) + ",5.0"
+                for _ in range(12)]
+        data_path = tmp_path / "c.csv"
+        data_path.write_text("\n".join([CONCRETE_HEADER, *rows]) + "\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "experiment_id": "constant", "master_seed": 1, "n_seeds": 1, "budget": 2,
+            "target": {"kind": "dataset", "schema": "concrete", "path": str(data_path),
+                       "test_fraction": 0.25, "model_noise_variance": 0.1},
+            "models": [{"kind": "gpr", "kernel": {"kind": "rbf"}}],
+            "strategies": [{"kind": "variance"}, {"kind": "random"}],
+        }))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == \
+            "error: target column is constant on the training split\n"
