@@ -3,14 +3,15 @@
 Files are user-supplied CSVs; schema JSON files declare the delimiter, the
 target column, the feature columns, and which of those are categorical
 (one-hot encoded at load). Rows with missing or unparseable values are
-dropped and counted. No downloads happen here.
+dropped and counted. No downloads happen here. ``split`` draws row indices
+and ``standardized`` scales both partitions by the train rows alone.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -22,12 +23,10 @@ from .errors import DataError
 __all__ = [
     "DatasetSchema",
     "TabularDataset",
-    "Standardizer",
     "load_schema",
     "load_csv",
     "split",
-    "fit_standardizer",
-    "apply_standardizer",
+    "standardized",
 ]
 
 BUILTIN_SCHEMAS = ("concrete", "facebook")
@@ -51,13 +50,13 @@ class DatasetSchema:
 
 @dataclass(frozen=True)
 class TabularDataset:
-    """Numeric feature matrix with a target vector and provenance metadata."""
+    """Numeric feature matrix with a target vector and the count of rows the
+    loader dropped."""
 
     features: np.ndarray          # (n, d)
     targets: np.ndarray           # (n,)
     feature_names: tuple[str, ...]
-    target_name: str
-    meta: dict = field(default_factory=dict)
+    dropped_rows: int = 0
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=float)
@@ -156,23 +155,13 @@ def load_csv(path: str | Path, schema: str | Path | DatasetSchema) -> TabularDat
         raise DataError(f"{path}: no usable rows (dropped {dropped})")
 
     names = list(numeric_cols)
-    matrix = np.asarray(kept_numeric, dtype=float)
-    for j, col in enumerate(schema.categorical):
-        levels = sorted({cats[j] for cats in kept_categories})
-        onehot = np.zeros((len(kept_categories), len(levels)))
-        level_index = {lvl: i for i, lvl in enumerate(levels)}
-        for i, cats in enumerate(kept_categories):
-            onehot[i, level_index[cats[j]]] = 1.0
-        matrix = np.hstack([matrix, onehot]) if matrix.size else onehot
+    blocks = [np.asarray(kept_numeric, dtype=float)]
+    for col, values in zip(schema.categorical, zip(*kept_categories)):
+        levels, codes = np.unique(values, return_inverse=True)
+        blocks.append(np.eye(len(levels))[codes])
         names.extend(f"{col}={lvl}" for lvl in levels)
-
-    return TabularDataset(
-        matrix,
-        np.asarray(kept_targets, dtype=float),
-        tuple(names),
-        schema.target,
-        meta={"source": str(path), "schema": schema.name, "dropped_rows": dropped},
-    )
+    return TabularDataset(np.hstack(blocks), np.asarray(kept_targets, dtype=float),
+                          tuple(names), dropped)
 
 
 def split(
@@ -180,8 +169,9 @@ def split(
     test_fraction: float,
     rng: np.random.Generator,
     subsample: Optional[int] = None,
-) -> tuple[TabularDataset, TabularDataset]:
-    """Optional subsample without replacement, then a disjoint random split."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted train and test row indices: an optional subsample without
+    replacement, then a disjoint random split."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must lie in (0, 1)")
     n = len(ds)
@@ -196,57 +186,25 @@ def split(
         side = "test" if n_test == 0 else "train"
         raise DataError(f"test_fraction {test_fraction} of {perm.size} rows leaves an "
                         f"empty {side} partition ({n_test} test, {perm.size - n_test} train)")
-    test_idx = np.sort(perm[:n_test])
-    train_idx = np.sort(perm[n_test:])
-
-    def take(idx, tag):
-        meta = dict(ds.meta)
-        meta["partition"] = tag
-        return TabularDataset(ds.features[idx], ds.targets[idx],
-                              ds.feature_names, ds.target_name, meta)
-
-    return take(train_idx, "train"), take(test_idx, "test")
+    return np.sort(perm[n_test:]), np.sort(perm[:n_test])
 
 
-@dataclass(frozen=True)
-class Standardizer:
-    """Column statistics fit on the training partition only."""
-
-    feature_means: np.ndarray
-    feature_stds: np.ndarray
-    target_mean: float
-    target_std: float
-    kept_columns: tuple[int, ...]     # indices into the original features
-    dropped_names: tuple[str, ...]    # zero-variance columns
-
-
-def fit_standardizer(train: TabularDataset) -> Standardizer:
-    """Means and stds from the train split; constant columns are dropped."""
+def standardized(ds: TabularDataset, train: np.ndarray,
+                 test: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(train_x, train_y, test_x, test_y)`` centred and scaled by the means
+    and stds of the ``train`` rows only, so no test row leaks into either
+    partition; feature columns constant on the train rows are dropped."""
     if len(train) == 0:
-        raise ValueError("cannot standardize an empty dataset")
-    means = train.features.mean(axis=0)
-    stds = train.features.std(axis=0)
-    kept = tuple(int(i) for i in np.flatnonzero(stds > 0))
-    dropped = tuple(train.feature_names[i] for i in range(len(stds)) if stds[i] == 0)
-    t_std = float(train.targets.std())
-    if t_std == 0:
+        raise ValueError("cannot standardize on an empty train partition")
+    x, y = ds.features[train], ds.targets[train]
+    means, stds = x.mean(axis=0), x.std(axis=0)
+    keep = stds > 0
+    y_mean, y_std = y.mean(), y.std()
+    if y_std == 0:
         raise DataError("target column is constant on the training split")
-    return Standardizer(
-        means[list(kept)], stds[list(kept)],
-        float(train.targets.mean()), t_std, kept, dropped,
-    )
 
+    def scale(rows):
+        return ((ds.features[rows][:, keep] - means[keep]) / stds[keep],
+                (ds.targets[rows] - y_mean) / y_std)
 
-def apply_standardizer(st: Standardizer, ds: TabularDataset) -> TabularDataset:
-    """Apply train statistics to any partition (no leakage by construction)."""
-    keep = list(st.kept_columns)
-    features = (ds.features[:, keep] - st.feature_means) / st.feature_stds
-    targets = (ds.targets - st.target_mean) / st.target_std
-    meta = dict(ds.meta)
-    if st.dropped_names:
-        meta["dropped_columns"] = list(st.dropped_names)
-    meta["standardized"] = True
-    return TabularDataset(
-        features, targets,
-        tuple(ds.feature_names[i] for i in keep), ds.target_name, meta,
-    )
+    return (*scale(train), *scale(test))

@@ -41,7 +41,7 @@ from .config import (
     parse_config,
     parse_config_dict,
 )
-from .datasets import TabularDataset, apply_standardizer, fit_standardizer, load_csv, split
+from .datasets import TabularDataset, load_csv, split, standardized
 from .errors import ConfigError, UalLabError
 from .linalg import one_blas_thread
 from .rng import derive_rng
@@ -97,7 +97,6 @@ def _synthetic_setup(cfg: ExperimentConfig, seed: int, data: None):
     candidates = build_pool(cfg.pool.n, cfg.pool.lo, cfg.pool.hi)
     oracle = SyntheticOracle(target, cfg.master_seed, (seed, 1))
     labels = np.array([oracle.label(i, x) for i, x in enumerate(candidates)])
-    init_index = int(derive_rng(cfg.master_seed, seed, 2).integers(cfg.pool.n))
     test = build_test_set(cfg.test.n, cfg.test.lo, cfg.test.hi, target,
                           derive_rng(cfg.master_seed, seed, 3))
     strategies = tuple(
@@ -105,24 +104,19 @@ def _synthetic_setup(cfg: ExperimentConfig, seed: int, data: None):
         if s.gradient_bound == "auto" else s
         for s in cfg.strategies
     )
-    return candidates, labels, init_index, test, t.noise_variance, strategies
+    return candidates, labels, test, t.noise_variance, strategies
 
 
 def _dataset_setup(cfg: ExperimentConfig, seed: int, data: TabularDataset):
     t = cfg.target
-    train, test_part = split(data, t.test_fraction,
-                             derive_rng(cfg.master_seed, seed, 0), subsample=t.subsample)
-    st = fit_standardizer(train)
-    train = apply_standardizer(st, train)
-    test_part = apply_standardizer(st, test_part)
+    train, test = split(data, t.test_fraction,
+                        derive_rng(cfg.master_seed, seed, 0), subsample=t.subsample)
+    train_x, train_y, test_x, test_y = standardized(data, train, test)
     if cfg.budget > len(train) - 1:
         raise ConfigError(
             f"budget: {cfg.budget} exceeds train split capacity {len(train)} - 1"
         )
-    init_index = int(derive_rng(cfg.master_seed, seed, 2).integers(len(train)))
-    test = TestSet(test_part.features, test_part.targets, None)
-    return (train.features, train.targets, init_index, test,
-            t.model_noise_variance, cfg.strategies)
+    return train_x, train_y, TestSet(test_x, test_y), t.model_noise_variance, cfg.strategies
 
 
 def _seed_runs(cfg: ExperimentConfig, seed: int,
@@ -131,12 +125,13 @@ def _seed_runs(cfg: ExperimentConfig, seed: int,
     initial candidate.
 
     The per-target setup gives the (n, d) candidate array, its (n,) labels,
-    the index of the initial candidate, the test set, the models' noise
-    variance, and the strategies with every bound resolved. Every run reads
-    the same labels, so paired runs share their step 0.
+    the test set, the models' noise variance, and the strategies with every
+    bound resolved. Every run reads the same labels and starts from the same
+    initial candidate, so paired runs share their step 0.
     """
     setup = _dataset_setup if isinstance(cfg.target, DatasetTargetSpec) else _synthetic_setup
-    candidates, labels, init_index, test, noise_variance, strategies = setup(cfg, seed, data)
+    candidates, labels, test, noise_variance, strategies = setup(cfg, seed, data)
+    init_index = int(derive_rng(cfg.master_seed, seed, 2).integers(len(labels)))
 
     runs = {}
     for mi, model_spec in enumerate(cfg.models):
@@ -233,10 +228,8 @@ def emit(results: AggregateResults, out_dir: str | Path, cfg: ExperimentConfig,
             )
         _write_text(path, "\n".join(lines) + "\n")
         written.append(path)
-        series = [
-            Series(model_id, xs, np.maximum(gaps, 1e-18))
-            for model_id, gaps in zip(cfg.model_ids, results.gaps)
-        ]
+        series = [Series(model_id, xs, gaps)
+                  for model_id, gaps in zip(cfg.model_ids, results.gaps)]
         svg_path = out / "discrepancy.svg"
         _write_text(svg_path, line_chart(
             f"{cfg.experiment_id}: variance-proxy gap", "x", "|MSE - 2*spread|", series))
@@ -276,15 +269,9 @@ def emit(results: AggregateResults, out_dir: str | Path, cfg: ExperimentConfig,
 
         steps = np.arange(cfg.budget + 1)
         for mi, model_id in enumerate(cfg.model_ids):
-            series = []
-            for si, strategy_id in enumerate(cfg.strategy_ids):
-                mean, std = means[mi, si], stds[mi, si]
-                floor = 1e-12
-                series.append(Series(
-                    strategy_id, steps, np.maximum(mean, floor),
-                    band_low=np.maximum(mean - std, floor),
-                    band_high=np.maximum(mean + std, floor),
-                ))
+            series = [Series(strategy_id, steps, mean, band_low=mean - std,
+                             band_high=mean + std)
+                      for strategy_id, mean, std in zip(cfg.strategy_ids, means[mi], stds[mi])]
             svg_path = out / f"curves_{model_id}.svg"
             _write_text(svg_path, line_chart(
                 f"{cfg.experiment_id}: {model_id}", "acquisitions", "mean test MSE", series))

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from conftest import CONCRETE_HEADER, write_concrete_csv as _write_concrete
 
-from ual_lab.datasets import (
-    apply_standardizer,
-    fit_standardizer,
-    load_csv,
-    load_schema,
-    split,
-)
+from ual_lab.datasets import load_csv, load_schema, split, standardized
 from ual_lab.errors import DataError
 from ual_lab.expcli import main
 from ual_lab.rng import derive_rng
@@ -22,8 +16,7 @@ class TestLoadCsv:
         _write_concrete(path)
         ds = load_csv(path, "concrete")
         assert ds.features.shape == (30, 8)
-        assert ds.target_name == "csMPa"
-        assert ds.meta["dropped_rows"] == 0
+        assert ds.dropped_rows == 0
 
     def test_malformed_row_dropped(self, tmp_path):
         path = tmp_path / "toy.csv"
@@ -35,7 +28,7 @@ class TestLoadCsv:
         )
         ds = load_csv(path, "concrete")
         assert len(ds) == 2
-        assert ds.meta["dropped_rows"] == 1
+        assert ds.dropped_rows == 1
 
     def test_facebook_schema_one_hot(self, tmp_path):
         path = tmp_path / "fb.csv"
@@ -50,12 +43,12 @@ class TestLoadCsv:
         path.write_text(header + "\n" + "\n".join(rows) + "\n")
         ds = load_csv(path, "facebook")
         assert len(ds) == 3
-        assert ds.meta["dropped_rows"] == 1
-        assert "Type=Photo" in ds.feature_names
-        assert "Type=Status" in ds.feature_names
-        onehot = ds.features[:, [ds.feature_names.index(n)
-                                 for n in ("Type=Photo", "Type=Status")]]
-        np.testing.assert_array_equal(onehot.sum(axis=1) <= 1, [True] * 3)
+        assert ds.dropped_rows == 1
+        # numeric columns in schema order, then one column per level seen, sorted
+        assert ds.feature_names == ("Page total likes", "Category", "Post Month",
+                                    "Post Weekday", "Post Hour", "Paid",
+                                    "Type=Photo", "Type=Status")
+        np.testing.assert_array_equal(ds.features[:, 6:], [[1, 0], [0, 1], [1, 0]])
 
     def test_missing_file(self):
         with pytest.raises(DataError):
@@ -104,8 +97,8 @@ class TestSplit:
         ds = load_csv(path, "concrete")
         train, test = split(ds, 0.25, derive_rng(81, 1))
         assert len(train) == 3 and len(test) == 1
-        all_rows = np.vstack([train.features, test.features])
-        assert {tuple(r) for r in all_rows} == {tuple(r) for r in ds.features}
+        np.testing.assert_array_equal(np.sort(np.concatenate([train, test])), np.arange(4))
+        assert np.all(np.diff(train) > 0)
 
     def test_determinism(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -113,8 +106,8 @@ class TestSplit:
         ds = load_csv(path, "concrete")
         a_train, a_test = split(ds, 0.4, derive_rng(81, 2))
         b_train, b_test = split(ds, 0.4, derive_rng(81, 2))
-        np.testing.assert_array_equal(a_train.features, b_train.features)
-        np.testing.assert_array_equal(a_test.targets, b_test.targets)
+        np.testing.assert_array_equal(a_train, b_train)
+        np.testing.assert_array_equal(a_test, b_test)
 
     def test_oversized_subsample_rejected(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -132,39 +125,33 @@ class TestStandardizer:
 
     def test_train_columns_centered_and_scaled(self, tmp_path):
         ds = self._dataset(tmp_path)
-        train, _ = split(ds, 0.2, derive_rng(82, 0))
-        st = fit_standardizer(train)
-        out = apply_standardizer(st, train)
-        assert np.abs(out.features.mean(axis=0)).max() < 1e-10
-        np.testing.assert_allclose(out.features.std(axis=0), 1.0, atol=1e-10)
-        assert abs(out.targets.mean()) < 1e-10
-
-    def test_target_round_trip(self, tmp_path):
-        ds = self._dataset(tmp_path)
-        st = fit_standardizer(ds)
-        out = apply_standardizer(st, ds)
-        np.testing.assert_allclose(out.targets * st.target_std + st.target_mean,
-                                   ds.targets, atol=1e-10)
+        train_x, train_y, _, _ = standardized(ds, *split(ds, 0.2, derive_rng(82, 0)))
+        assert np.abs(train_x.mean(axis=0)).max() < 1e-10
+        np.testing.assert_allclose(train_x.std(axis=0), 1.0, atol=1e-10)
+        assert abs(train_y.mean()) < 1e-10
+        assert train_y.std() == pytest.approx(1.0, abs=1e-10)
 
     def test_test_partition_not_centered(self, tmp_path):
         ds = self._dataset(tmp_path)
-        train, test = split(ds, 0.3, derive_rng(82, 1))
-        st = fit_standardizer(train)
-        out = apply_standardizer(st, test)
-        assert np.abs(out.features.mean(axis=0)).max() > 1e-6
+        _, _, test_x, test_y = standardized(ds, *split(ds, 0.3, derive_rng(82, 1)))
+        assert np.abs(test_x.mean(axis=0)).max() > 1e-6
+        assert abs(test_y.mean()) > 1e-6
 
     def test_no_leakage_from_test_rows(self, tmp_path):
         ds = self._dataset(tmp_path)
         train, test = split(ds, 0.3, derive_rng(82, 2))
-        st = fit_standardizer(train)
-        perturbed = type(test)(test.features + 100.0, test.targets * 5.0,
-                               test.feature_names, test.target_name, test.meta)
-        st_again = fit_standardizer(train)
-        np.testing.assert_array_equal(st.feature_means, st_again.feature_means)
-        out_a = apply_standardizer(st, train)
-        _ = apply_standardizer(st, perturbed)
-        out_b = apply_standardizer(st_again, train)
-        np.testing.assert_array_equal(out_a.features, out_b.features)
+        features, targets = ds.features.copy(), ds.targets.copy()
+        features[test] += 100.0
+        targets[test] *= 5.0
+        perturbed = type(ds)(features, targets, ds.feature_names)
+        clean = standardized(ds, train, test)
+        dirty = standardized(perturbed, train, test)
+        np.testing.assert_array_equal(dirty[0], clean[0])
+        np.testing.assert_array_equal(dirty[1], clean[1])
+        # the test rows move by their own change only, scaled by the train stds
+        shift = 100.0 / ds.features[train].std(axis=0)
+        np.testing.assert_allclose(dirty[2] - clean[2], np.tile(shift, (len(test), 1)),
+                                   rtol=1e-10)
 
     def test_constant_column_dropped(self, tmp_path):
         path = tmp_path / "const.csv"
@@ -176,11 +163,12 @@ class TestStandardizer:
             rows.append(",".join(f"{v:.3f}" for v in vals) + f",{rng.uniform(1, 9):.3f}")
         path.write_text("\n".join(rows) + "\n")
         ds = load_csv(path, "concrete")
-        st = fit_standardizer(ds)
-        out = apply_standardizer(st, ds)
-        assert "flyash" in st.dropped_names
-        assert "flyash" not in out.feature_names
-        assert out.features.shape[1] == 7
+        train, test = split(ds, 0.3, derive_rng(82, 4))
+        train_x, _, test_x, _ = standardized(ds, train, test)
+        assert train_x.shape == (7, 7) and test_x.shape == (3, 7)
+        kept = ds.features[train][:, [0, 1, 3, 4, 5, 6, 7]]  # every column but flyash
+        np.testing.assert_allclose(train_x, (kept - kept.mean(axis=0)) / kept.std(axis=0),
+                                   rtol=1e-12)
 
 
 class TestRejected:
@@ -239,6 +227,12 @@ class TestRejected:
         ds = load_csv(tmp_path / "d.csv", "concrete")
         with pytest.raises(ValueError, match=r"test_fraction must lie in \(0, 1\)"):
             split(ds, fraction, derive_rng(84, 0))
+
+    def test_empty_train_partition(self, tmp_path):
+        _write_concrete(tmp_path / "d.csv", n_rows=8)
+        ds = load_csv(tmp_path / "d.csv", "concrete")
+        with pytest.raises(ValueError, match="empty train partition"):
+            standardized(ds, np.arange(0), np.arange(8))
 
     def test_constant_train_target_exits_2(self, tmp_path, capsys):
         rng = derive_rng(84, 1)
