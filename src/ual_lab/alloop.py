@@ -42,7 +42,6 @@ from .bpr import (
 from .gpr import (
     KernelSpec,
     PoolPredictions,
-    fit_lengthscale_grid,
     gp_fit,
     gp_predict_batch,
     prefix_predictions,
@@ -138,25 +137,15 @@ class BprLearner:
 
 
 class GprLearner:
-    """A GP refit from scratch by each fit.
+    """A GP with a fixed kernel, refit from scratch by each fit."""
 
-    With ``lengthscale_grid`` the first fit of the run picks the
-    lengthscale by marginal likelihood, and every later fit keeps it.
-    """
-
-    def __init__(self, kernel: KernelSpec, noise_variance: float,
-                 lengthscale_grid: bool = False):
+    def __init__(self, kernel: KernelSpec, noise_variance: float):
         self.kernel = kernel
         self.noise_variance = noise_variance
-        self.lengthscale_grid = lengthscale_grid
         self.model = None
 
     def fit(self, xs, ys) -> "GprLearner":
-        if self.lengthscale_grid:
-            self.model = fit_lengthscale_grid(self.kernel, xs, ys, self.noise_variance)
-            self.kernel, self.lengthscale_grid = self.model.kernel, False
-        else:
-            self.model = gp_fit(self.kernel, xs, ys, self.noise_variance)
+        self.model = gp_fit(self.kernel, xs, ys, self.noise_variance)
         return self
 
     def predict_batch(self, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -166,9 +155,8 @@ class GprLearner:
     def curve(self, xs, ys, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
         """(bias, spread) over a fixed test set of the fit on every prefix of (xs, ys).
 
-        Entry t belongs to the first t + 1 points, at the kernel the first
-        fit chose. The bias is mean((targets - mean_t)^2) and the spread
-        the mean latent variance.
+        Entry t belongs to the first t + 1 points. The bias is
+        mean((targets - mean_t)^2) and the spread the mean latent variance.
         """
         means, latent = prefix_predictions(self.kernel, xs, ys, self.noise_variance, inputs)
         resid = np.subtract(targets, means, out=means)

@@ -39,8 +39,6 @@ class SyntheticTargetSpec:
     order: int
     family: str
     noise_variance: float
-    cosine_amplitude: float
-    cosine_frequency: float
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,6 @@ class ModelSpec:
     kind: str  # "bpr" | "gpr"; the other kind's fields stay None
     degree: Optional[int] = None
     kernel: Optional[KernelSpec] = None
-    lengthscale_grid: Optional[bool] = None
 
     @property
     def model_id(self) -> str:
@@ -230,8 +227,6 @@ TARGET = {
         "order": (int, REQUIRED, _at_least(0)),
         "family": (str, PURE_POLYNOMIAL, _one_of(PURE_POLYNOMIAL, POLYNOMIAL_PLUS_COSINE)),
         "noise_variance": (float, 1.0, _at_least(0)),
-        "cosine_amplitude": (float, 1.0, None),
-        "cosine_frequency": (float, 1.0, None),
     }),
     "dataset": Section(DatasetTargetSpec, {
         "schema": (str, REQUIRED, None),
@@ -244,8 +239,7 @@ TARGET = {
 
 MODEL = {
     "bpr": Section(ModelSpec, {"degree": (int, REQUIRED, _at_least(0))}),
-    "gpr": Section(ModelSpec, {"kernel": (KERNEL, REQUIRED, None),
-                               "lengthscale_grid": (bool, False, None)}),
+    "gpr": Section(ModelSpec, {"kernel": (KERNEL, REQUIRED, None)}),
 }
 
 _SURROGATE = (KERNEL, None, None)  # StrategySpec fills in its default kernel
@@ -305,6 +299,11 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config: expected an object")
     cfg = _read_kind(EXPERIMENT, raw, "", default="al_curves")
+    # results are keyed by id, so a repeated id would overwrite an earlier entry's
+    for key, ids in (("models", cfg.model_ids), ("strategies", cfg.strategy_ids)):
+        for n, entry_id in enumerate(ids):
+            if entry_id in ids[:n]:
+                raise ConfigError(f"{key}: duplicate id {entry_id!r}; each entry needs its own id")
     dataset = isinstance(cfg.target, DatasetTargetSpec)
     bpr = any(m.kind == "bpr" for m in cfg.models)
     if dataset and bpr:

@@ -84,16 +84,13 @@ class AggregateResults:
 def _make_learner(spec: ModelSpec, noise_variance: float):
     if spec.kind == "bpr":
         return BprLearner(spec.degree, noise_variance)
-    return GprLearner(spec.kernel, noise_variance, spec.lengthscale_grid)
+    return GprLearner(spec.kernel, noise_variance)
 
 
 def _synthetic_setup(cfg: ExperimentConfig, seed: int, data: None):
     t = cfg.target
-    target = sample_target(
-        t.order, derive_rng(cfg.master_seed, seed, 0), t.family,
-        noise_variance=t.noise_variance, cosine_amplitude=t.cosine_amplitude,
-        cosine_frequency=t.cosine_frequency,
-    )
+    target = sample_target(t.order, derive_rng(cfg.master_seed, seed, 0), t.family,
+                           noise_variance=t.noise_variance)
     candidates = build_pool(cfg.pool.n, cfg.pool.lo, cfg.pool.hi)
     oracle = SyntheticOracle(target, cfg.master_seed, (seed, 1))
     labels = np.array([oracle.label(i, x) for i, x in enumerate(candidates)])

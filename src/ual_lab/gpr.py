@@ -1,8 +1,7 @@
 """Gaussian process regression with linear, RBF, and Matern-5/2 kernels.
 
-Hyperparameters are fixed by configuration, never learned during a run; an
-optional marginal-likelihood grid over lengthscales can pick one value at
-fit time. ``gp_fit`` factors from scratch in O(n^3). :class:`PoolPredictions`
+Hyperparameters are fixed by configuration, never learned during a run.
+``gp_fit`` factors from scratch in O(n^3). :class:`PoolPredictions`
 keeps a fitted model's latent means and variances over a fixed point set
 (the pool) and conditions them on one more observation, one of those
 points, in O(nm) for m points, by growing the cached cross factor
@@ -17,7 +16,7 @@ with OpenBLAS 0.3.31.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -33,16 +32,11 @@ __all__ = [
     "PoolPredictions",
     "gp_predict_batch",
     "prefix_predictions",
-    "log_marginal_likelihood",
-    "fit_lengthscale_grid",
-    "LENGTHSCALE_GRID",
 ]
 
 LINEAR = "linear"
 RBF = "rbf"
 MATERN52 = "matern52"
-
-LENGTHSCALE_GRID = (0.1, 0.3, 1.0, 3.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -237,28 +231,3 @@ class PoolPredictions:
         self.latent -= row * row
         self._n = n + 1
 
-
-def log_marginal_likelihood(model: GpModel) -> float:
-    """Log evidence of the training data under the fitted model."""
-    return float(
-        -0.5 * model.train_outputs @ model.weights
-        - np.sum(np.log(np.diagonal(model.chol_factor)))
-        - 0.5 * model.n_train * math.log(2.0 * math.pi)
-    )
-
-
-def fit_lengthscale_grid(spec: KernelSpec, xs, ys, noise_variance: float) -> GpModel:
-    """Fit once per ``LENGTHSCALE_GRID`` value and keep the highest-evidence model.
-
-    Linear kernels have no lengthscale and fall through to a plain fit.
-    """
-    if spec.kind == LINEAR:
-        return gp_fit(spec, xs, ys, noise_variance)
-    best = None
-    best_ll = -math.inf
-    for ls in LENGTHSCALE_GRID:
-        model = gp_fit(replace(spec, lengthscale=ls), xs, ys, noise_variance)
-        ll = log_marginal_likelihood(model)
-        if ll > best_ll:
-            best, best_ll = model, ll
-    return best

@@ -402,32 +402,6 @@ def test_bpr_run_builds_its_test_design_once(monkeypatch):
     assert len(test.inputs) <= sum(rows) <= len(test.inputs) + budget + 1
 
 
-def test_lengthscale_grid_picks_on_the_first_fit_only(monkeypatch):
-    grid_sizes, fit_kernels = [], []
-    grid, fit = alloop.fit_lengthscale_grid, alloop.gp_fit
-
-    def recording_grid(spec, xs, ys, noise_variance):
-        grid_sizes.append(len(ys))
-        return grid(spec, xs, ys, noise_variance)
-
-    def recording_fit(spec, xs, ys, noise_variance):
-        fit_kernels.append(spec)
-        return fit(spec, xs, ys, noise_variance)
-
-    monkeypatch.setattr(alloop, "fit_lengthscale_grid", recording_grid)
-    monkeypatch.setattr(alloop, "gp_fit", recording_fit)
-    _, labels, pool, init, test = _setup(seed=9)
-    budget = 8
-    learner = GprLearner(KernelSpec("rbf", lengthscale=0.5), 0.1, lengthscale_grid=True)
-    run_al(learner, StrategySpec("variance"), pool, labels, init, test, budget,
-           derive_rng(70, 9, 4))
-    assert grid_sizes == [1]
-    assert learner.kernel.lengthscale in gpr.LENGTHSCALE_GRID
-    # every later fit, one before each later pick, is a plain fit at the
-    # lengthscale the grid chose
-    assert fit_kernels == [learner.kernel] * (budget - 1)
-
-
 def test_paired_runs_share_step_zero():
     _, labels, pool, init, test = _setup(seed=5)
     traces = {}

@@ -87,6 +87,21 @@ class TestParseConfig:
         pytest.param({"test": {"n": 4, "lo": 2.0, "hi": -2.0}}, "test:", id="empty-span"),
         pytest.param({"test": {"n": 4, "lo": -2.0, "hi": 2.0, "layout": "grid"}},
                      "test: unknown key 'layout'", id="test-layout-removed"),
+        pytest.param({"models": [{"kind": "gpr", "kernel": {"kind": "rbf"},
+                                  "lengthscale_grid": True}]},
+                     "models[0]: unknown key 'lengthscale_grid'", id="lengthscale-grid-removed"),
+        pytest.param({"target": {"kind": "synthetic", "order": 3, "family":
+                                 "polynomial-plus-cosine", "cosine_amplitude": 5.0}},
+                     "target: unknown key 'cosine_amplitude'", id="cosine-amplitude-removed"),
+        pytest.param({"target": {"kind": "synthetic", "order": 3, "family":
+                                 "polynomial-plus-cosine", "cosine_frequency": 2.0}},
+                     "target: unknown key 'cosine_frequency'", id="cosine-frequency-removed"),
+        pytest.param({"models": [{"kind": "gpr", "kernel": {"kind": "rbf", "lengthscale": 0.3}},
+                                 {"kind": "gpr", "kernel": {"kind": "rbf", "lengthscale": 3.0}}]},
+                     "models: duplicate id 'gpr_rbf'", id="duplicate-model-id"),
+        pytest.param({"strategies": [{"kind": "direct_mse"}, {"kind": "random"},
+                                     {"kind": "direct_mse"}]},
+                     "strategies: duplicate id 'direct_mse'", id="duplicate-strategy-id"),
         pytest.param({"target": {"kind": "synthetic", "order": 3, "noise_variance": 0}},
                      "target.noise_variance:", id="bpr-noiseless-target"),
         pytest.param({"models": [{"kind": "gpr", "kernel": {"kind": "linear", "amplitude": 99,
@@ -100,9 +115,9 @@ class TestParseConfig:
                      id="matern-surrogate-weight"),
         pytest.param({"models": [{"kind": "gpr", "kernel": {"kind": "poly"}}]},
                      "models[0].kernel.kind: unknown kind 'poly'", id="unknown-kernel-kind"),
-        pytest.param({"target": {"kind": "synthetic", "order": 3, "family":
-                                 "polynomial-plus-cosine", "cosine_amplitude": float("nan")}},
-                     "target.cosine_amplitude: expected a finite number", id="nan-number"),
+        pytest.param({"models": [{"kind": "gpr", "kernel": {"kind": "rbf",
+                                                             "lengthscale": float("nan")}}]},
+                     "models[0].kernel.lengthscale: expected a finite number", id="nan-number"),
         pytest.param({"target": {"kind": "synthetic", "order": 3,
                                  "noise_variance": float("inf")}},
                      "target.noise_variance: expected a finite number", id="infinite-number"),
@@ -282,7 +297,7 @@ class TestDiscrepancyKind:
         # the closed forms cover the pure polynomial family only; a cosine
         # target would be evaluated as if its cosine term were absent
         target = {"kind": "synthetic", "order": 3, "family": "polynomial-plus-cosine",
-                  "noise_variance": 1.0, "cosine_amplitude": 5.0}
+                  "noise_variance": 1.0}
         with pytest.raises(ConfigError, match="target.family"):
             parse_config_dict(_discrepancy_config(target=target))
         cfg_path = tmp_path / "cfg.json"

@@ -8,11 +8,9 @@ from ual_lab.errors import NumericalError
 from ual_lab.gpr import (
     KernelSpec,
     PoolPredictions,
-    fit_lengthscale_grid,
     gp_fit,
     gp_predict_batch,
     kernel_matrix,
-    log_marginal_likelihood,
     prefix_predictions,
 )
 from ual_lab.rng import derive_rng
@@ -131,17 +129,6 @@ def test_linear_kernel_equals_degree_one_regression():
         gp_mean, gp_var = gp_predict_batch(gp, qs[:, None], include_noise=True)
         np.testing.assert_allclose(gp_mean, bpr_mean, atol=1e-8)
         np.testing.assert_allclose(gp_var, bpr_var, atol=1e-8)
-
-
-def test_lengthscale_grid_prefers_data_scale():
-    rng = derive_rng(36, 0)
-    xs = np.sort(rng.uniform(-2, 2, 60))[:, None]
-    ys = np.sin(2.0 * xs[:, 0]) + 0.05 * rng.standard_normal(60)
-    model = fit_lengthscale_grid(KernelSpec("rbf"), xs, ys, 0.01)
-    assert model.kernel.lengthscale in (0.3, 1.0)
-    best_ll = log_marginal_likelihood(model)
-    worse = gp_fit(KernelSpec("rbf", lengthscale=10.0), xs, ys, 0.01)
-    assert best_ll > log_marginal_likelihood(worse)
 
 
 @st.composite
