@@ -44,11 +44,13 @@ class TestLoadCsv:
         ds = load_csv(path, "facebook")
         assert len(ds) == 3
         assert ds.dropped_rows == 1
-        # numeric columns in schema order, then one column per level seen, sorted
-        assert ds.feature_names == ("Page total likes", "Category", "Post Month",
-                                    "Post Weekday", "Post Hour", "Paid",
-                                    "Type=Photo", "Type=Status")
-        np.testing.assert_array_equal(ds.features[:, 6:], [[1, 0], [0, 1], [1, 0]])
+        # numeric columns in schema order, then per categorical column (schema
+        # order) one column per level seen, sorted
+        assert ds.feature_names == ("Page total likes", "Post Month", "Post Weekday",
+                                    "Post Hour", "Paid", "Type=Photo", "Type=Status",
+                                    "Category=1", "Category=2", "Category=3")
+        np.testing.assert_array_equal(ds.features[:, 5:7], [[1, 0], [0, 1], [1, 0]])
+        np.testing.assert_array_equal(ds.features[:, 7:], [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
 
     def test_missing_file(self):
         with pytest.raises(DataError):
