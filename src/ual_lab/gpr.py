@@ -230,4 +230,3 @@ class PoolPredictions:
         self.means += row * z_new
         self.latent -= row * row
         self._n = n + 1
-
