@@ -110,12 +110,12 @@ def score_upper_bound(
     d_min,
     gradient_bound: float,
     confidence: float,
-    pool_size: int,
 ) -> np.ndarray:
     """( B(x) + |surrogate mean - predictor mean| )^2 + sigma^2.
 
     B(x) = sqrt(2 ln(N/delta)) * surrogate latent std + L_f * d_min(x),
-    where d_min is the distance from x to the nearest labeled input. The
+    where N is the number of candidates scored and d_min is the distance
+    from x to the nearest labeled input. The
     first term is a high-probability GP credible width, the second covers
     what a gradient-bounded function can do between observations. sigma^2
     is the model's noise variance, which the surrogate shares.
@@ -123,7 +123,7 @@ def score_upper_bound(
     if gradient_bound is None or (isinstance(gradient_bound, str)):
         raise ValueError("gradient_bound must be resolved to a number before scoring")
     f_means, _ = model.predict_batch(xs)
-    beta = 2.0 * math.log(pool_size / confidence)
+    beta = 2.0 * math.log(f_means.size / confidence)
     width = math.sqrt(beta) * np.sqrt(np.clip(surrogate_latent, 0.0, None))
     bound = width + gradient_bound * d_min
     return (bound + np.abs(surrogate_means - f_means)) ** 2 + model.noise_variance

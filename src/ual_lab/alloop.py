@@ -1,12 +1,12 @@
 """Pool-based active learning driver.
 
 One run works on indices into one candidate array and its label array. A
-selection loop picks the labeled order: fit on the initial candidate,
-then repeatedly score the still-unlabeled candidates and take the
-winner's label. The learner is refit from scratch, on the full labeled
+selection loop picks the labeled order: starting from the initial
+candidate, it repeatedly scores the still-unlabeled candidates and takes
+the winner's label. The learner is fit from scratch, on the full labeled
 set, only before a step whose score reads it (``variance``,
-``direct_mse``, ``upper_bound``); a random run fits once, on the initial
-point. The surrogate GP of ``direct_mse`` and ``upper_bound`` is fit once
+``direct_mse``, ``upper_bound``); a random run fits only in the curve
+pass. The surrogate GP of ``direct_mse`` and ``upper_bound`` is fit once
 on the initial point; its pool means and latent variances are then kept
 current by :class:`gpr.PoolPredictions` at O(nm) per label for a pool of
 m, and ``upper_bound``'s distance from each candidate to the nearest
@@ -17,9 +17,10 @@ fit on every prefix of the labeled order in one batched pass. A BPR
 posterior depends only on running sums of phi phi^T and phi y (Bishop
 2006, PRML 3.3), and its mean predictive variance over the N test inputs
 is tr(S G) + sigma^2 with G = Phi^T Phi / N built once. A GP's prefix
-Cholesky factors are the leading blocks of one factor of the whole order
-(Rasmussen & Williams 2006, Alg. 2.1), so one factorization and two
-forward solves give every prefix's test means and variances. Neither
+Cholesky factors are the leading blocks of the factor that ``gp_fit``
+builds on the whole order (Rasmussen & Williams 2006, Alg. 2.1), so that
+one fit and two forward solves give every prefix's test means and
+variances. Neither
 learner predicts the test set inside the loop.
 """
 
@@ -158,7 +159,8 @@ class GprLearner:
         Entry t belongs to the first t + 1 points. The bias is
         mean((targets - mean_t)^2) and the spread the mean latent variance.
         """
-        means, latent = prefix_predictions(self.kernel, xs, ys, self.noise_variance, inputs)
+        means, latent = prefix_predictions(gp_fit(self.kernel, xs, ys, self.noise_variance),
+                                           inputs)
         resid = np.subtract(targets, means, out=means)
         return np.mean(np.square(resid, out=resid), axis=1), latent.mean(axis=1)
 
@@ -176,13 +178,13 @@ def run_al(
     """Run ``budget`` acquisitions from ``candidates[init_index]`` and return the trace.
 
     ``learner`` is a :class:`BprLearner` or :class:`GprLearner`, fit in
-    place on the initial candidate and refit before each later step whose
-    score reads it. ``candidates`` is the (n, d) pool and ``labels`` its
-    (n,) outputs; every labeled point, the initial one included, is one of
-    its rows. Once the order is picked, ``learner.curve`` gives the test
-    error of the fit on each of its prefixes, step 0 being the initial
-    point alone: split into bias and variance against the noiseless
-    targets when the test set has them (synthetic targets), and the MSE
+    place on the labeled points before each step whose score reads it.
+    ``candidates`` is the (n, d) pool and ``labels`` its (n,) outputs;
+    every labeled point, the initial one included, is one of its rows.
+    Once the order is picked, ``learner.curve`` gives the test error of the
+    fit on each of its prefixes, step 0 being the initial point alone:
+    split into bias and variance against the noiseless targets when the
+    test set has them (synthetic targets), and the MSE
     against the observed targets otherwise (real datasets). The rng is
     consumed only by the random strategy, so selection and model are fully
     decoupled for the baselines.
@@ -206,7 +208,6 @@ def run_al(
     labeled = [init_index]
     active = np.ones(n, dtype=bool)
     active[init_index] = False
-    learner.fit(candidates[labeled], labels[labeled])
     surrogate = d_min = None
     if strategy.kind in (acq.DIRECT_MSE, acq.UPPER_BOUND):
         fit = gp_fit(strategy.surrogate_kernel, candidates[labeled], labels[labeled],
@@ -216,13 +217,12 @@ def run_al(
     if strategy.kind == acq.UPPER_BOUND:
         d_min = cdist(candidates, candidates[labeled])[:, 0]
 
-    for step in range(budget):
+    for _ in range(budget):
         indices = np.flatnonzero(active)
         if strategy.kind == acq.RANDOM:
             chosen = acq.score_random(rng, indices)
         else:
-            if step:
-                learner.fit(candidates[labeled], labels[labeled])
+            learner.fit(candidates[labeled], labels[labeled])
             xs = candidates[indices]
             if strategy.kind == acq.VARIANCE:
                 scores = acq.score_variance(learner, xs)
@@ -231,9 +231,7 @@ def run_al(
             else:
                 scores = acq.score_upper_bound(
                     learner, xs, surrogate.means[indices], surrogate.latent[indices],
-                    d_min[indices], strategy.gradient_bound, strategy.confidence,
-                    pool_size=indices.size,
-                )
+                    d_min[indices], strategy.gradient_bound, strategy.confidence)
             chosen = acq.select(indices, scores)
         labeled.append(chosen)
         active[chosen] = False

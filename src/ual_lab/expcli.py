@@ -164,31 +164,29 @@ def _seed_discrepancy(cfg: ExperimentConfig, seed: int) -> np.ndarray:
 def _seed_worker(args):
     cfg, seed, data = args
     if cfg.kind == "discrepancy":
-        return seed, _seed_discrepancy(cfg, seed)
-    return seed, _seed_runs(cfg, seed, data)
+        return _seed_discrepancy(cfg, seed)
+    return _seed_runs(cfg, seed, data)
 
 
-def run_experiment(cfg: ExperimentConfig,
-                   data: Optional[TabularDataset] = None) -> AggregateResults:
+def run_experiment(cfg: ExperimentConfig) -> AggregateResults:
     """Run every (seed, model, strategy) combination and aggregate.
 
-    Seeds fan out to min(``cfg.parallelism``, cores, seeds) worker processes
-    and fold in seed order; BLAS runs on one thread (the caller's counts are
-    restored), so outputs depend on neither the pool size nor the cores.
+    Seeds fan out to min(``cfg.parallelism``, cores, seeds) worker processes,
+    whose results come back in seed order; BLAS runs on one thread (the
+    caller's counts are restored), so outputs depend on neither the pool
+    size nor the cores. A dataset target's file is loaded once, here.
     """
-    if isinstance(cfg.target, DatasetTargetSpec) and data is None and cfg.kind == "al_curves":
-        data = load_csv(cfg.target.path, cfg.target.schema)
+    dataset = isinstance(cfg.target, DatasetTargetSpec)
+    data = load_csv(cfg.target.path, cfg.target.schema) if dataset else None
     payloads = [(cfg, seed, data) for seed in range(cfg.n_seeds)]
     cores = len(os.sched_getaffinity(0))
     workers = min(cfg.parallelism, cores, cfg.n_seeds)
     with one_blas_thread() as openblas:  # forked workers inherit the one thread
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_seed_worker, payloads))
+                per_seed = list(pool.map(_seed_worker, payloads))
         else:
-            results = [_seed_worker(p) for p in payloads]
-    results.sort(key=lambda item: item[0])
-    per_seed = [value for _, value in results]
+            per_seed = [_seed_worker(p) for p in payloads]
     runtime = {"numpy": np.__version__, "scipy": scipy.__version__, "cores": cores,
                "workers": workers, "openblas": openblas}
 
@@ -214,8 +212,13 @@ def emit(results: AggregateResults, out_dir: str | Path, cfg: ExperimentConfig,
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
+    def write(name: str, text: str) -> None:
+        path = out / name
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+        written.append(path)
+
     if cfg.kind == "discrepancy":
-        path = out / "discrepancy.csv"
         xs = np.linspace(cfg.grid.lo, cfg.grid.hi, cfg.grid.n)
         lines = [DISCREPANCY_HEADER]
         for model_id, gaps in zip(cfg.model_ids, results.gaps):
@@ -223,14 +226,11 @@ def emit(results: AggregateResults, out_dir: str | Path, cfg: ExperimentConfig,
                 f"{cfg.experiment_id},{model_id},{_fmt(x)},{_fmt(g)}"
                 for x, g in zip(xs, gaps)
             )
-        _write_text(path, "\n".join(lines) + "\n")
-        written.append(path)
+        write("discrepancy.csv", "\n".join(lines) + "\n")
         series = [Series(model_id, xs, gaps)
                   for model_id, gaps in zip(cfg.model_ids, results.gaps)]
-        svg_path = out / "discrepancy.svg"
-        _write_text(svg_path, line_chart(
+        write("discrepancy.svg", line_chart(
             f"{cfg.experiment_id}: variance-proxy gap", "x", "|MSE - 2*spread|", series))
-        written.append(svg_path)
     else:
         trace_lines = [TRACES_HEADER]
         for seed, runs in enumerate(results.runs):
@@ -247,9 +247,7 @@ def emit(results: AggregateResults, out_dir: str | Path, cfg: ExperimentConfig,
                             f"{step},{step + 1},{chosen},"
                             f"{_fmt(mse)},{bias},{var}"
                         )
-        path = out / "traces.csv"
-        _write_text(path, "\n".join(trace_lines) + "\n")
-        written.append(path)
+        write("traces.csv", "\n".join(trace_lines) + "\n")
 
         means, stds = results.test_mse.mean(axis=0), results.test_mse.std(axis=0)
         summary_lines = [SUMMARY_HEADER]
@@ -260,19 +258,15 @@ def emit(results: AggregateResults, out_dir: str | Path, cfg: ExperimentConfig,
                     f"{_fmt(mean)},{_fmt(std)},{cfg.n_seeds}"
                     for step, (mean, std) in enumerate(zip(means[mi, si], stds[mi, si]))
                 )
-        path = out / "summary.csv"
-        _write_text(path, "\n".join(summary_lines) + "\n")
-        written.append(path)
+        write("summary.csv", "\n".join(summary_lines) + "\n")
 
         steps = np.arange(cfg.budget + 1)
         for mi, model_id in enumerate(cfg.model_ids):
             series = [Series(strategy_id, steps, mean, band_low=mean - std,
                              band_high=mean + std)
                       for strategy_id, mean, std in zip(cfg.strategy_ids, means[mi], stds[mi])]
-            svg_path = out / f"curves_{model_id}.svg"
-            _write_text(svg_path, line_chart(
+            write(f"curves_{model_id}.svg", line_chart(
                 f"{cfg.experiment_id}: {model_id}", "acquisitions", "mean test MSE", series))
-            written.append(svg_path)
 
     meta = {
         "artifact_version": __version__,
@@ -280,15 +274,8 @@ def emit(results: AggregateResults, out_dir: str | Path, cfg: ExperimentConfig,
         "runtime": results.runtime,
         "wall_time_s": wall_time_s,
     }
-    meta_path = out / "meta.json"
-    _write_text(meta_path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    written.append(meta_path)
+    write("meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return written
-
-
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,8 @@ keeps a fitted model's latent means and variances over a fixed point set
 (the pool) and conditions them on one more observation, one of those
 points, in O(nm) for m points, by growing the cached cross factor
 V = L^-1 K(X, pool) by one row (Rasmussen & Williams 2006, Alg. 2.1); no
-solve over the training set is repeated. Keeping the acquisition
-surrogate that way instead of re-predicting the pool every step cut a
-fig10 + fig11 shaped experiment (one seed, four strategies, budget 199,
-pool 200) from 0.35 s to 0.19 s of median wall time on a two-core machine
-with OpenBLAS 0.3.31.
+solve over the training set is repeated. ``prefix_predictions`` reads the
+fit on every prefix of a model's training order off the same V.
 """
 
 from __future__ import annotations
@@ -137,33 +134,32 @@ def gp_predict_batch(
     return means, variances
 
 
-def prefix_predictions(
-    spec: KernelSpec, xs, ys, noise_variance: float, points
-) -> tuple[np.ndarray, np.ndarray]:
-    """Latent means and variances at ``points`` of the fit on every prefix of (xs, ys).
+def prefix_predictions(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
+    """Latent means and variances at ``points`` of the fit on every prefix of
+    ``model``'s training order.
 
-    Row t is ``gp_predict_batch(gp_fit(spec, xs[:t + 1], ys[:t + 1], ...),
+    Row t is ``gp_predict_batch(gp_fit(kernel, xs[:t + 1], ys[:t + 1], ...),
     points, include_noise=False)``. The Cholesky factor of a prefix's Gram
-    matrix is the leading block of the full one's (Rasmussen & Williams
-    2006, Alg. 2.1), so one factorization and two forward solves serve
-    every prefix: with V = L^-1 K(X, points) and z = L^-1 y, the means are
-    running sums of V's rows weighted by z and the variances k(p, p) minus
-    running sums of V's squared rows. A non-finite label raises
-    ``ValueError`` in the solve.
+    matrix is the leading block of the whole order's (Rasmussen & Williams
+    2006, Alg. 2.1), so ``model``'s factor serves every prefix: with
+    V = L^-1 K(X, points) and z = L^-1 y, the means are running sums of V's
+    rows weighted by z and the variances k(p, p) minus running sums of V's
+    squared rows.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    ys = np.asarray(ys, dtype=float).reshape(-1)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if xs.shape[0] != ys.shape[0]:
-        raise ValueError("xs and ys must have equal length")
-    lower = chol_spd(kernel_matrix(spec, xs, xs) + noise_variance * np.eye(xs.shape[0]))
-    cross = solve_lower(lower, kernel_matrix(spec, xs, points))
-    z = solve_lower(lower, ys)
+    cross, z = _whitened(model, points)
     latent = np.square(cross)
     np.cumsum(latent, axis=0, out=latent)
-    np.subtract(_prior_diag(spec, points), latent, out=latent)
+    np.subtract(_prior_diag(model.kernel, points), latent, out=latent)
     cross *= z[:, None]
     return np.cumsum(cross, axis=0, out=cross), latent
+
+
+def _whitened(model: GpModel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V = L^-1 K(X, points) and z = L^-1 y for ``model``'s factor L."""
+    cross = kernel_matrix(model.kernel, model.train_inputs, points)
+    return (solve_lower(model.chol_factor, cross),
+            solve_lower(model.chol_factor, model.train_outputs))
 
 
 def _prior_diag(spec: KernelSpec, xs: np.ndarray) -> np.ndarray:
@@ -204,10 +200,8 @@ class PoolPredictions:
         self._n = n
         self._prior = _prior_diag(model.kernel, points)
         self._rows = np.empty((capacity, points.shape[0]))
-        self._rows[:n] = solve_lower(model.chol_factor,
-                                     kernel_matrix(model.kernel, model.train_inputs, points))
         self._z = np.empty(capacity)
-        self._z[:n] = solve_lower(model.chol_factor, model.train_outputs)
+        self._rows[:n], self._z[:n] = _whitened(model, points)
 
     def append(self, index: int, y: float) -> None:
         """Condition on the label ``y`` observed at ``points[index]``."""

@@ -26,13 +26,12 @@ def _direct(surrogate, model, xs):
     return score_direct_mse(model, xs, means)
 
 
-def _upper(surrogate, model, xs, labeled, gradient_bound, confidence, pool_size):
+def _upper(surrogate, model, xs, labeled, gradient_bound, confidence):
     """The upper_bound score with the surrogate terms and distances computed from scratch."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     means, latent = gp_predict_batch(surrogate, xs, include_noise=False)
     d_min = cdist(xs, np.atleast_2d(labeled)).min(axis=1)
-    return score_upper_bound(model, xs, means, latent, d_min, gradient_bound, confidence,
-                             pool_size)
+    return score_upper_bound(model, xs, means, latent, d_min, gradient_bound, confidence)
 
 
 class TestVarianceScore:
@@ -129,7 +128,7 @@ class TestUpperBoundScore:
         surrogate = gp_fit(KernelSpec("rbf", lengthscale=0.5), xs[:, None], ys, sig2)
         model = _fit_bpr(1, xs, ys, noise=sig2)
         x = np.array([[xs[7]]])
-        score = _upper(surrogate, model, x, xs[:, None], 3.0, 0.05, 25)[0]
+        score = _upper(surrogate, model, x, xs[:, None], 3.0, 0.05)[0]
         g_mean = surrogate.train_outputs[7]
         f_mean = model.predict_batch(x)[0][0]
         assert score == pytest.approx((g_mean - f_mean) ** 2 + sig2, abs=1e-4)
@@ -148,7 +147,7 @@ class TestUpperBoundScore:
 
         qs = rng.uniform(-2, 2, (20, 1))
         eps = 1e-9
-        scores = _upper(surrogate, ZeroModel(), qs, xs[:, None], eps, 0.05, 20)
+        scores = _upper(surrogate, ZeroModel(), qs, xs[:, None], eps, 0.05)
         _, latent = gp_predict_batch(surrogate, qs, include_noise=False)
         beta = 2.0 * np.log(20 / 0.05)
         np.testing.assert_allclose(scores, beta * latent + 1.0, rtol=1e-4)
@@ -160,7 +159,7 @@ class TestUpperBoundScore:
         surrogate = gp_fit(KernelSpec("rbf", lengthscale=0.5), xs[:, None], ys, 1.0)
         model = _fit_bpr(1, xs, ys)
         pool = build_pool(50, -2, 2)
-        upper = _upper(surrogate, model, pool, xs[:, None], 5.0, 0.05, 50)
+        upper = _upper(surrogate, model, pool, xs[:, None], 5.0, 0.05)
         direct = _direct(surrogate, model, pool)
         assert np.all(upper >= direct)
         assert np.all(upper >= 1.0)  # never below the noise floor
@@ -169,7 +168,7 @@ class TestUpperBoundScore:
         surrogate = gp_fit(KernelSpec("rbf"), [[0.0]], [1.0], 1.0)
         model = _fit_bpr(1, [0.0], [1.0])
         with pytest.raises(ValueError):
-            _upper(surrogate, model, [[1.0]], [[0.0]], "auto", 0.05, 10)
+            _upper(surrogate, model, [[1.0]], [[0.0]], "auto", 0.05)
 
 
 class TestSelect:

@@ -126,8 +126,7 @@ def _refit_surrogate_choices(learner, strategy, labels, pool, init, budget):
         else:
             scores = acq.score_upper_bound(model, pool[active], means, latent,
                                            cdist(pool[active], xs).min(axis=1),
-                                           strategy.gradient_bound, strategy.confidence,
-                                           pool_size=active.size)
+                                           strategy.gradient_bound, strategy.confidence)
         labeled.append(acq.select(active, scores))
     return pool[labeled[1:]]
 
@@ -338,7 +337,7 @@ def test_step_terms_match_test_set_predictions(degree, clean):
 
 
 def test_curve_replaces_the_per_step_test_predictions(monkeypatch):
-    # a random BPR run fits once, on the initial point, and a GP run predicts
+    # a random BPR run fits nothing before its curve, and a GP run predicts
     # over the pool only: the test error comes from the curve's one pass
     _, labels, pool, init, test = _setup(seed=10, pool_n=40, test_n=120)
     budget = 20
@@ -352,7 +351,7 @@ def test_curve_replaces_the_per_step_test_predictions(monkeypatch):
     monkeypatch.setattr(alloop, "posterior_update", counting_update)
     run_al(BprLearner(3, 1.0), StrategySpec("random"), pool, labels, init, test, budget,
            derive_rng(70, 10, 4))
-    assert updates == [1]
+    assert updates == []
 
     predicted = []
     predict = alloop.gp_predict_batch
@@ -373,7 +372,7 @@ def test_curve_replaces_the_per_step_test_predictions(monkeypatch):
     pytest.param(lambda: GprLearner(KernelSpec("rbf"), 1.0), id="gp"),
 ])
 def test_non_finite_label_in_a_random_run_raises(learner):
-    # a random run fits only its initial point, so the curve meets the label
+    # a random run fits nothing before its curve, so the curve meets the label
     _, labels, pool, init, test = _setup(seed=11)
     labels = labels.copy()
     labels[np.arange(len(pool)) != init] = np.nan
@@ -456,9 +455,9 @@ def test_each_label_is_a_distinct_pool_candidate(case):
     np.testing.assert_array_equal(ys, labels[rows])
     assert rows[0] == init_idx
     np.testing.assert_array_equal(xs[1:], trace.chosen_x)
-    # the initial point is fit; a model-based score refits on the order so far
-    # before each later pick, and nothing refits after the last one
-    fits = 1 if kind == "random" else max(budget, 1)
+    # a model-based score fits on the order so far before each pick, a random
+    # run never fits, and nothing refits after the last pick
+    fits = 0 if kind == "random" else budget
     assert len(learner.fits) == fits
     for size, (fit_xs, fit_ys) in enumerate(learner.fits, start=1):
         np.testing.assert_array_equal(fit_xs, xs[:size])

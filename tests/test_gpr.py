@@ -186,7 +186,7 @@ class TestAppend:
 def test_prefix_predictions_equal_a_fit_per_prefix(case):
     # the leading blocks of one factor of the whole order serve every prefix
     spec, noise, pool, order, ys = case
-    means, latent = prefix_predictions(spec, pool[order], ys, noise, pool)
+    means, latent = prefix_predictions(gp_fit(spec, pool[order], ys, noise), pool)
     assert means.shape == latent.shape == (len(order), len(pool))
     tol = {"rtol": 1e-10, "atol": 1e-12}
     for t in range(len(order)):
