@@ -2,9 +2,11 @@
 
 Files are user-supplied CSVs; schema JSON files declare the delimiter, the
 target column, the feature columns, and which of those are categorical
-(one-hot encoded at load). Rows with missing or unparseable values are
-dropped and counted. No downloads happen here. ``split`` draws row indices
-and ``standardized`` scales both partitions by the train rows alone.
+(one-hot encoded at load). Rows with missing or unparseable values, or
+with more or fewer fields than the header, are dropped and counted; a
+header that repeats a schema column is rejected. No downloads happen
+here. ``split`` draws row indices and ``standardized`` scales both
+partitions by the train rows alone.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ def load_schema(schema: str | Path) -> DatasetSchema:
             raise DataError(f"schema file not found: {path}")
         name = path.stem
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise DataError(f"schema {path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -108,6 +110,16 @@ def load_schema(schema: str | Path) -> DatasetSchema:
         raise DataError(f"schema {name!r} is missing key {exc}") from exc
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; ``json.loads`` alone would keep a repeated key's last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
 def load_csv(path: str | Path, schema: str | Path | DatasetSchema) -> TabularDataset:
     """Load a CSV under a schema; malformed rows are dropped, not imputed."""
     if not isinstance(schema, DatasetSchema):
@@ -127,6 +139,9 @@ def load_csv(path: str | Path, schema: str | Path | DatasetSchema) -> TabularDat
     missing = required - set(header)
     if missing:
         raise DataError(f"{path}: header is missing schema columns {sorted(missing)}")
+    repeated = sorted(name for name in required if header.count(name) > 1)
+    if repeated:
+        raise DataError(f"{path}: header repeats schema columns {repeated}")
     col_index = {name: header.index(name) for name in required}
 
     numeric_cols = [c for c in schema.features if c not in schema.categorical]
@@ -135,7 +150,7 @@ def load_csv(path: str | Path, schema: str | Path | DatasetSchema) -> TabularDat
     kept_targets: list[float] = []
     dropped = 0
     for row in rows:
-        if len(row) < len(header):
+        if len(row) != len(header):
             dropped += 1
             continue
         try:

@@ -174,7 +174,8 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateResults:
     Seeds fan out to min(``cfg.parallelism``, cores, seeds) worker processes,
     whose results come back in seed order; BLAS runs on one thread (the
     caller's counts are restored), so outputs depend on neither the pool
-    size nor the cores. A dataset target's file is loaded once, here.
+    size nor the cores. A dataset target's file is loaded once, here, and
+    the rows it dropped are counted in ``runtime``.
     """
     dataset = isinstance(cfg.target, DatasetTargetSpec)
     data = load_csv(cfg.target.path, cfg.target.schema) if dataset else None
@@ -189,6 +190,8 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateResults:
             per_seed = [_seed_worker(p) for p in payloads]
     runtime = {"numpy": np.__version__, "scipy": scipy.__version__, "cores": cores,
                "workers": workers, "openblas": openblas}
+    if dataset:
+        runtime["dropped_rows"] = data.dropped_rows
 
     if cfg.kind == "discrepancy":
         return AggregateResults(gaps=np.stack(per_seed).mean(axis=0), runtime=runtime)

@@ -223,6 +223,47 @@ class TestRejected:
         with pytest.raises(DataError, match=r"no usable rows \(dropped 2\)"):
             load_csv(path, "concrete")
 
+    def test_long_row_dropped_and_counted(self, tmp_path):
+        # a row with a field more than the header is not read by position
+        schema = self._schema(tmp_path, '{"delimiter": ",", "target": "y",'
+                                        ' "features": ["a", "b"]}')
+        (tmp_path / "d.csv").write_text("a,b,y\n1,2,3\n4,5,6,7\n")
+        ds = load_csv(tmp_path / "d.csv", schema)
+        np.testing.assert_array_equal(ds.features, [[1.0, 2.0]])
+        np.testing.assert_array_equal(ds.targets, [3.0])
+        assert ds.dropped_rows == 1
+
+    def test_header_repeating_a_schema_column(self, tmp_path):
+        schema = self._schema(tmp_path, '{"delimiter": ",", "target": "y",'
+                                        ' "features": ["a", "b"]}')
+        (tmp_path / "d.csv").write_text("a,b,a,y\n1,2,3,4\n")
+        with pytest.raises(DataError, match=r"header repeats schema columns \['a'\]"):
+            load_csv(tmp_path / "d.csv", schema)
+
+    def test_schema_repeating_a_key(self, tmp_path):
+        schema = self._schema(tmp_path, '{"delimiter": ",", "target": "y", "features": ["a"],'
+                                        ' "target": "a"}')
+        (tmp_path / "d.csv").write_text("a,y\n1,2\n")
+        with pytest.raises(DataError, match="duplicate key 'target'"):
+            load_csv(tmp_path / "d.csv", schema)
+
+    def test_meta_counts_dropped_rows(self, tmp_path):
+        data_path = tmp_path / "c.csv"
+        _write_concrete(data_path, n_rows=20)
+        with open(data_path, "a") as handle:
+            handle.write(",".join(["1"] * 8) + "\n" + ",".join(["2"] * 10) + "\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "experiment_id": "dropped", "master_seed": 1, "n_seeds": 1, "budget": 2,
+            "target": {"kind": "dataset", "schema": "concrete", "path": str(data_path),
+                       "test_fraction": 0.25, "model_noise_variance": 0.1},
+            "models": [{"kind": "gpr", "kernel": {"kind": "rbf"}}],
+            "strategies": [{"kind": "random"}],
+        }))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+        meta = json.loads((tmp_path / "o" / "meta.json").read_text())
+        assert meta["runtime"]["dropped_rows"] == 2
+
     @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.25, 1.5])
     def test_test_fraction_outside_the_unit_interval(self, tmp_path, fraction):
         _write_concrete(tmp_path / "d.csv", n_rows=8)

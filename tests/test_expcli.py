@@ -125,10 +125,19 @@ class TestParseConfig:
                      "pool.hi: expected a finite number", id="infinite-span-end"),
         pytest.param({"pool": {"n": 20, "lo": -2.0, "hi": 10**400}},
                      "pool.hi: expected a finite number", id="integer-beyond-float-range"),
+        # file text, since a dict cannot hold a repeated key
+        pytest.param(json.dumps(_small_config())[:-1] + ', "budget": 199}',
+                     "config: duplicate key 'budget'", id="repeated-top-key"),
+        pytest.param(json.dumps(_small_config()).replace('"order": 3', '"order": 3, "order": 1'),
+                     "config: duplicate key 'order'", id="repeated-nested-key"),
     ])
-    def test_malformed_config_names_key(self, overrides, key_path):
+    def test_malformed_config_names_key(self, overrides, key_path, tmp_path):
         with pytest.raises(ConfigError) as info:
-            parse_config_dict(_small_config(**overrides))
+            if isinstance(overrides, str):
+                (tmp_path / "config.json").write_text(overrides)
+                parse_config(tmp_path / "config.json")
+            else:
+                parse_config_dict(_small_config(**overrides))
         assert str(info.value).startswith(key_path)
 
     def test_bad_json_reports_position(self, tmp_path):
