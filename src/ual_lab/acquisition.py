@@ -115,10 +115,10 @@ def score_upper_bound(
 
     B(x) = sqrt(2 ln(N/delta)) * surrogate latent std + L_f * d_min(x),
     where N is the number of candidates scored and d_min is the distance
-    from x to the nearest labeled input. The
-    first term is a high-probability GP credible width, the second covers
-    what a gradient-bounded function can do between observations. sigma^2
-    is the model's noise variance, which the surrogate shares.
+    from x to the nearest labeled input. The first term is a
+    high-probability GP credible width, the second covers what a
+    gradient-bounded function can do between observations. sigma^2 is the
+    model's noise variance, which the surrogate shares.
     """
     if gradient_bound is None or (isinstance(gradient_bound, str)):
         raise ValueError("gradient_bound must be resolved to a number before scoring")

@@ -20,8 +20,7 @@ is tr(S G) + sigma^2 with G = Phi^T Phi / N built once. A GP's prefix
 Cholesky factors are the leading blocks of the factor that ``gp_fit``
 builds on the whole order (Rasmussen & Williams 2006, Alg. 2.1), so that
 one fit and two forward solves give every prefix's test means and
-variances. Neither
-learner predicts the test set inside the loop.
+variances. Neither learner predicts the test set inside the loop.
 """
 
 from __future__ import annotations
@@ -184,10 +183,10 @@ def run_al(
     Once the order is picked, ``learner.curve`` gives the test error of the
     fit on each of its prefixes, step 0 being the initial point alone:
     split into bias and variance against the noiseless targets when the
-    test set has them (synthetic targets), and the MSE
-    against the observed targets otherwise (real datasets). The rng is
-    consumed only by the random strategy, so selection and model are fully
-    decoupled for the baselines.
+    test set has them (synthetic targets), and the MSE against the observed
+    targets otherwise (real datasets). The rng is consumed only by the
+    random strategy, so selection and model are fully decoupled for the
+    baselines.
     """
     n = candidates.shape[0]
     if labels.shape != (n,):

@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Optional
 
 from .acquisition import DIRECT_MSE, RANDOM, UPPER_BOUND, VARIANCE, StrategySpec
+from .datasets import unique_keys
 from .errors import ConfigError
 from .gpr import LINEAR, MATERN52, RBF, KernelSpec
 from .synthetic import POLYNOMIAL_PLUS_COSINE, PURE_POLYNOMIAL
@@ -338,29 +339,21 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
     return cfg
 
 
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object as a dict; ``json.loads`` alone would keep a repeated key's last value."""
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise ConfigError(f"config: duplicate key {key!r}")
-        out[key] = value
-    return out
-
-
 def parse_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate a JSON config file."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # a repeated key
+        raise ConfigError(f"config: {exc}") from exc
     return parse_config_dict(raw)
 
 

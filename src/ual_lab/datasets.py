@@ -76,6 +76,17 @@ class TabularDataset:
         return self.features.shape[0]
 
 
+def unique_keys(pairs: list) -> dict:
+    """``json.loads``'s ``object_pairs_hook``: the object as a dict, or
+    ``ValueError`` naming a repeated key, whose last value json would keep."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
 def load_schema(schema: str | Path) -> DatasetSchema:
     """Resolve a built-in schema id or a path to a schema JSON file."""
     if isinstance(schema, str) and schema in BUILTIN_SCHEMAS:
@@ -87,7 +98,7 @@ def load_schema(schema: str | Path) -> DatasetSchema:
             raise DataError(f"schema file not found: {path}")
         name = path.stem
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise DataError(f"schema {path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -108,16 +119,6 @@ def load_schema(schema: str | Path) -> DatasetSchema:
         )
     except KeyError as exc:
         raise DataError(f"schema {name!r} is missing key {exc}") from exc
-
-
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object as a dict; ``json.loads`` alone would keep a repeated key's last value."""
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise ValueError(f"duplicate key {key!r}")
-        out[key] = value
-    return out
 
 
 def load_csv(path: str | Path, schema: str | Path | DatasetSchema) -> TabularDataset:
