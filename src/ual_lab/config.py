@@ -5,7 +5,9 @@ Each :class:`Section` table maps a JSON key to its type, its default (or
 from the tables and one dumper writes it back, so a dumped config re-parses
 to an equal one. ``null`` stands for the default where the default is ``null``.
 Checks spanning several fields are plain code in :func:`parse_config_dict`;
-``KernelSpec``, ``StrategySpec`` and ``Span`` validate themselves.
+``KernelSpec``, ``StrategySpec`` and ``Span`` validate themselves. No other
+module parses JSON: :mod:`ual_lab.datasets` reads schemas with :func:`read_json`
+and :func:`read` too.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from pathlib import Path
 from typing import Optional
 
 from .acquisition import DIRECT_MSE, RANDOM, UPPER_BOUND, VARIANCE, StrategySpec
-from .datasets import unique_keys
 from .errors import ConfigError
 from .gpr import LINEAR, MATERN52, RBF, KernelSpec
 from .synthetic import POLYNOMIAL_PLUS_COSINE, PURE_POLYNOMIAL
@@ -32,6 +33,8 @@ __all__ = [
     "parse_config",
     "parse_config_dict",
     "config_to_dict",
+    "read",
+    "read_json",
 ]
 
 
@@ -120,7 +123,7 @@ class Section:
     ``table`` maps each JSON key, also a field name of ``cls``, to
     ``(type, default, rule)``. A type is ``int``, ``float``, ``str`` or
     ``bool`` (or a tuple of these), a Section, a dict of sections keyed by the
-    object's ``kind``, or ``[type]`` for a non-empty list; a ``float`` must be
+    object's ``kind``, or ``[type]`` for a list; a ``float`` must be
     finite. A default is ``REQUIRED`` or JSON data, read like a given value. A
     rule is None or ``(predicate, message shown when it fails)``.
     """
@@ -133,11 +136,13 @@ def _key_path(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _read(tp, value, path: str):
+def read(tp, value, path: str):
+    """``value`` read as the type ``tp`` of a :class:`Section` table; a ``ConfigError``
+    names the key path below ``path``, whose empty value reads "config"."""
     if isinstance(tp, list):
-        if not isinstance(value, list) or not value:
-            raise ConfigError(f"{path}: expected a non-empty list")
-        return tuple(_read(tp[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        return tuple(read(tp[0], v, f"{path}[{i}]") for i, v in enumerate(value))
     if isinstance(tp, (Section, dict)):
         if not isinstance(value, dict):
             raise ConfigError(f"{path or 'config'}: expected an object")
@@ -167,7 +172,7 @@ def _read_section(section: Section, raw: dict, path: str, **given):
         if value is REQUIRED:
             raise ConfigError(f"{where}: missing required key {key!r}")
         if value is not None or default is not None:
-            value = _read(tp, value, _key_path(path, key))
+            value = read(tp, value, _key_path(path, key))
             if rule and not rule[0](value):
                 raise ConfigError(f"{_key_path(path, key)}: {rule[1]}")
         given[key] = value
@@ -213,6 +218,9 @@ def _at_least(bound):
 
 def _one_of(*names):
     return (lambda v: v in names), "must be " + " or ".join(map(repr, names))
+
+
+NON_EMPTY = bool, "expected a non-empty list"
 
 
 _STATIONARY = Section(KernelSpec, {"amplitude": (float, 1.0, None),
@@ -271,14 +279,14 @@ _COMMON = {
     "parallelism": (int, 1, _at_least(1)),
     "output_dir": (str, None, None),
     "target": (TARGET, REQUIRED, None),
-    "models": ([MODEL], REQUIRED, None),
+    "models": ([MODEL], REQUIRED, NON_EMPTY),
 }
 
 EXPERIMENT = {
     "al_curves": Section(ExperimentConfig, {
         **_COMMON,
         "budget": (int, REQUIRED, _at_least(0)),
-        "strategies": ([STRATEGY], REQUIRED, None),
+        "strategies": ([STRATEGY], REQUIRED, NON_EMPTY),
         # required for a synthetic target, absent for a dataset target
         "pool": (POOL, None, None),
         "test": (TEST, None, None),
@@ -339,13 +347,23 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
     return cfg
 
 
-def parse_config(path: str | Path) -> ExperimentConfig:
-    """Parse and validate a JSON config file."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+def _unique_keys(pairs: list) -> dict:
+    """``object_pairs_hook`` raising on a repeated key, whose last value json would keep."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
+def read_json(path: Path):
+    """The JSON value in the UTF-8 file at ``path``; ``ConfigError`` naming the
+    file if it is missing, not UTF-8 or JSON, or repeats a key."""
+    if not path.is_file():
+        raise ConfigError(f"file not found: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
+        return json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -353,8 +371,12 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     except ValueError as exc:  # a repeated key
-        raise ConfigError(f"config: {exc}") from exc
-    return parse_config_dict(raw)
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def parse_config(path: str | Path) -> ExperimentConfig:
+    """Parse and validate a JSON config file."""
+    return parse_config_dict(read_json(Path(path)))
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

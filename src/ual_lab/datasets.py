@@ -2,7 +2,8 @@
 
 Files are user-supplied CSVs; schema JSON files declare the delimiter, the
 target column, the feature columns, and which of those are categorical
-(one-hot encoded at load). Rows with missing or unparseable values, or
+(one-hot encoded at load), read by :mod:`ual_lab.config`'s JSON reader
+through the ``SCHEMA`` table. Rows with missing or unparseable values, or
 with more or fewer fields than the header, are dropped and counted; a
 header that repeats a schema column is rejected. No downloads happen
 here. ``split`` draws row indices and ``standardized`` scales both
@@ -12,7 +13,6 @@ partitions by the train rows alone.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -20,7 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataError
+from .config import NON_EMPTY, REQUIRED, Section, read, read_json
+from .errors import ConfigError, DataError
 
 __all__ = [
     "DatasetSchema",
@@ -36,18 +37,23 @@ BUILTIN_SCHEMAS = ("concrete", "facebook")
 
 @dataclass(frozen=True)
 class DatasetSchema:
-    name: str
     delimiter: str
     target: str
     features: tuple[str, ...]
     categorical: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.delimiter not in (",", ";"):
-            raise DataError(f"unsupported delimiter {self.delimiter!r}")
         unknown = set(self.categorical) - set(self.features)
         if unknown:
-            raise DataError(f"categorical columns not in features: {sorted(unknown)}")
+            raise ValueError(f"categorical columns not in features: {sorted(unknown)}")
+
+
+SCHEMA = Section(DatasetSchema, {
+    "delimiter": (str, REQUIRED, (lambda v: v in (",", ";"), "must be ',' or ';'")),
+    "target": (str, REQUIRED, None),
+    "features": ([str], REQUIRED, NON_EMPTY),
+    "categorical": ([str], [], None),
+})
 
 
 @dataclass(frozen=True)
@@ -76,49 +82,17 @@ class TabularDataset:
         return self.features.shape[0]
 
 
-def unique_keys(pairs: list) -> dict:
-    """``json.loads``'s ``object_pairs_hook``: the object as a dict, or
-    ``ValueError`` naming a repeated key, whose last value json would keep."""
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise ValueError(f"duplicate key {key!r}")
-        out[key] = value
-    return out
-
-
 def load_schema(schema: str | Path) -> DatasetSchema:
     """Resolve a built-in schema id or a path to a schema JSON file."""
     if isinstance(schema, str) and schema in BUILTIN_SCHEMAS:
         path = resources.files("ual_lab.schemas").joinpath(f"{schema}.json")
-        name = schema
     else:
         path = Path(schema)
-        if not path.exists():
-            raise DataError(f"schema file not found: {path}")
-        name = path.stem
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
-        raise DataError(f"schema {path}: not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise DataError(f"schema {path}: must be a JSON object, not {type(raw).__name__}")
-    for key in ("features", "categorical"):
-        value = raw.get(key, [])
-        if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-            raise DataError(f"schema {path}: {key} must be a list of strings, not {value!r}")
-    if not isinstance(raw.get("target", ""), str):
-        raise DataError(f"schema {path}: target must be a string, not {raw['target']!r}")
-    try:
-        return DatasetSchema(
-            name=name,
-            delimiter=raw["delimiter"],
-            target=raw["target"],
-            features=tuple(raw["features"]),
-            categorical=tuple(raw.get("categorical", ())),
-        )
-    except KeyError as exc:
-        raise DataError(f"schema {name!r} is missing key {exc}") from exc
+        # key paths read "<file>: schema.features[0]"
+        return read(SCHEMA, read_json(path), f"{path}: schema")
+    except ConfigError as exc:
+        raise DataError(str(exc)) from exc
 
 
 def load_csv(path: str | Path, schema: str | Path | DatasetSchema) -> TabularDataset:

@@ -184,7 +184,7 @@ class TestRejected:
     def test_unsupported_delimiter(self, tmp_path):
         schema = self._schema(tmp_path, '{"delimiter": "|", "target": "y", "features": ["x"]}')
         (tmp_path / "d.csv").write_text("x|y\n1|2\n")
-        with pytest.raises(DataError, match=r"unsupported delimiter '\|'"):
+        with pytest.raises(DataError, match=r"schema.json: schema.delimiter: must be ',' or ';'"):
             load_csv(tmp_path / "d.csv", schema)
 
     def test_categorical_column_not_a_feature(self, tmp_path):
@@ -201,13 +201,14 @@ class TestRejected:
 
     def test_missing_schema_file(self, tmp_path):
         _write_concrete(tmp_path / "d.csv")
-        with pytest.raises(DataError, match="schema file not found"):
+        with pytest.raises(DataError, match="file not found: .*absent.json"):
             load_csv(tmp_path / "d.csv", tmp_path / "absent.json")
 
     def test_schema_without_delimiter(self, tmp_path):
         schema = self._schema(tmp_path, '{"target": "y", "features": ["x"]}')
         (tmp_path / "d.csv").write_text("x,y\n1,2\n")
-        with pytest.raises(DataError, match="schema 'schema' is missing key 'delimiter'"):
+        with pytest.raises(DataError,
+                           match="schema.json: schema: missing required key 'delimiter'"):
             load_csv(tmp_path / "d.csv", schema)
 
     def test_short_and_infinite_rows_dropped_and_counted(self, tmp_path):

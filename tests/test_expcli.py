@@ -125,20 +125,21 @@ class TestParseConfig:
                      "pool.hi: expected a finite number", id="infinite-span-end"),
         pytest.param({"pool": {"n": 20, "lo": -2.0, "hi": 10**400}},
                      "pool.hi: expected a finite number", id="integer-beyond-float-range"),
-        # file text, since a dict cannot hold a repeated key
+        # file text, since a dict cannot hold a repeated key; the message names the file
         pytest.param(json.dumps(_small_config())[:-1] + ', "budget": 199}',
-                     "config: duplicate key 'budget'", id="repeated-top-key"),
+                     "{file}: duplicate key 'budget'", id="repeated-top-key"),
         pytest.param(json.dumps(_small_config()).replace('"order": 3', '"order": 3, "order": 1'),
-                     "config: duplicate key 'order'", id="repeated-nested-key"),
+                     "{file}: duplicate key 'order'", id="repeated-nested-key"),
     ])
     def test_malformed_config_names_key(self, overrides, key_path, tmp_path):
+        path = tmp_path / "config.json"
         with pytest.raises(ConfigError) as info:
             if isinstance(overrides, str):
-                (tmp_path / "config.json").write_text(overrides)
-                parse_config(tmp_path / "config.json")
+                path.write_text(overrides)
+                parse_config(path)
             else:
                 parse_config_dict(_small_config(**overrides))
-        assert str(info.value).startswith(key_path)
+        assert str(info.value).startswith(key_path.format(file=path))
 
     def test_bad_json_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -434,14 +435,19 @@ class TestCli:
         assert err.startswith("error: ") and message in err
 
     @pytest.mark.parametrize("schema_text, csv_bytes, message", [
-        pytest.param("{not json", None, "schema.json: not valid JSON", id="schema-not-json"),
-        pytest.param("[1, 2]", None, "schema.json: must be a JSON object, not list",
+        pytest.param("{not json", None, "schema.json: invalid JSON at line 1, column 2",
+                     id="schema-not-json"),
+        pytest.param("[1, 2]", None, "schema.json: schema: expected an object",
                      id="schema-not-object"),
         pytest.param('{"delimiter": ",", "target": "csMPa", "features": "cement"}', None,
-                     "schema.json: features must be a list of strings, not 'cement'",
+                     "schema.json: schema.features: expected a list, got 'cement'",
                      id="features-not-list"),
         pytest.param('{"delimiter": ",", "target": 5, "features": ["x"]}', None,
-                     "schema.json: target must be a string, not 5", id="target-not-string"),
+                     "schema.json: schema.target: expected a string, got 5",
+                     id="target-not-string"),
+        pytest.param('{"delimiter": ",", "target": "csMPa", "features": ["cement"],'
+                     ' "categoricals": ["cement"]}', None,
+                     "schema.json: schema: unknown key 'categoricals'", id="unknown-key"),
         pytest.param(None, b"cement,csMPa\n1.0,\xff\n", "c.csv: not UTF-8 text",
                      id="csv-not-utf8"),
     ])
