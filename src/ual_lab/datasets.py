@@ -43,6 +43,13 @@ class DatasetSchema:
     categorical: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if self.target in self.features:
+            raise ValueError(f"features include the target {self.target!r}")
+        for key in ("features", "categorical"):
+            columns = getattr(self, key)
+            repeated = sorted({c for c in columns if columns.count(c) > 1})
+            if repeated:
+                raise ValueError(f"{key} lists columns twice: {repeated}")
         unknown = set(self.categorical) - set(self.features)
         if unknown:
             raise ValueError(f"categorical columns not in features: {sorted(unknown)}")

@@ -211,6 +211,20 @@ class TestRejected:
                            match="schema.json: schema: missing required key 'delimiter'"):
             load_csv(tmp_path / "d.csv", schema)
 
+    @pytest.mark.parametrize("columns, message", [
+        pytest.param('"features": ["a", "y"]', r"features include the target 'y'",
+                     id="target-a-feature"),
+        pytest.param('"features": ["a", "a"]', r"features lists columns twice: \['a'\]",
+                     id="repeated-feature"),
+        pytest.param('"features": ["a"], "categorical": ["a", "a"]',
+                     r"categorical lists columns twice: \['a'\]", id="repeated-categorical"),
+    ])
+    def test_schema_target_among_or_repeated_columns(self, tmp_path, columns, message):
+        schema = self._schema(tmp_path, f'{{"delimiter": ",", "target": "y", {columns}}}')
+        (tmp_path / "d.csv").write_text("a,y\n1,3\n4,6\n")
+        with pytest.raises(DataError, match=rf"schema.json: schema: {message}"):
+            load_csv(tmp_path / "d.csv", schema)
+
     def test_short_and_infinite_rows_dropped_and_counted(self, tmp_path):
         short = ",".join(["1"] * 8)                      # one field fewer than the header
         infinite = ",".join(["2"] * 4 + ["inf"] + ["2"] * 4)
