@@ -358,12 +358,12 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def read_json(path: Path):
-    """The JSON value in the UTF-8 file at ``path``; ``ConfigError`` naming the
-    file if it is missing, not UTF-8 or JSON, or repeats a key."""
+    """The JSON value in the file at ``path``, UTF-8 with or without a byte-order mark;
+    ``ConfigError`` naming the file if it is missing, not UTF-8 or JSON, or repeats a key."""
     if not path.is_file():
         raise ConfigError(f"file not found: {path}")
     try:
-        return json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+        return json.loads(path.read_text(encoding="utf-8-sig"), object_pairs_hook=_unique_keys)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -110,7 +110,7 @@ def load_csv(path: str | Path, schema: str | Path | DatasetSchema) -> TabularDat
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             rows = list(csv.reader(handle, delimiter=schema.delimiter))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc

@@ -225,6 +225,15 @@ class TestRejected:
         with pytest.raises(DataError, match=rf"schema.json: schema: {message}"):
             load_csv(tmp_path / "d.csv", schema)
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
+        schema = self._schema(tmp_path, '{"delimiter": ",", "target": "y",'
+                                        ' "features": ["a", "b"]}')
+        (tmp_path / "d.csv").write_text("\ufeffa,b,y\n1,2,3\n", encoding="utf-8")
+        ds = load_csv(tmp_path / "d.csv", schema)
+        assert ds.feature_names == ("a", "b")
+        np.testing.assert_array_equal(ds.features, [[1.0, 2.0]])
+
     def test_short_and_infinite_rows_dropped_and_counted(self, tmp_path):
         short = ",".join(["1"] * 8)                      # one field fewer than the header
         infinite = ",".join(["2"] * 4 + ["inf"] + ["2"] * 4)

@@ -141,6 +141,11 @@ class TestParseConfig:
                 parse_config_dict(_small_config(**overrides))
         assert str(info.value).startswith(key_path.format(file=path))
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("\ufeff" + json.dumps(_small_config()), encoding="utf-8")
+        assert parse_config(path) == parse_config_dict(_small_config())
+
     def test_bad_json_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"experiment_id": "x",\n  "n_seeds": }\n')
