@@ -43,7 +43,7 @@ from .config import (
 )
 from .datasets import TabularDataset, load_csv, split, standardized
 from .errors import ConfigError, UalLabError
-from .linalg import one_blas_thread
+from .linalg import one_blas_thread, set_one_blas_thread
 from .rng import derive_rng
 from .svg import Series, line_chart
 from .synthetic import TestSet, build_pool, build_test_set, gradient_bound, sample_target
@@ -172,19 +172,20 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateResults:
     """Run every (seed, model, strategy) combination and aggregate.
 
     Seeds fan out to min(``cfg.parallelism``, cores, seeds) worker processes,
-    whose results come back in seed order; BLAS runs on one thread (the
-    caller's counts are restored), so outputs depend on neither the pool
-    size nor the cores. A dataset target's file is loaded once, here, and
-    the rows it dropped are counted in ``runtime``.
+    whose results come back in seed order; BLAS runs on one thread in this
+    process (the caller's counts are restored) and in each worker, which
+    sets its own whatever the start method, so outputs depend on neither
+    the pool size nor the cores. A dataset target's file is loaded once,
+    here, and the rows it dropped are counted in ``runtime``.
     """
     dataset = isinstance(cfg.target, DatasetTargetSpec)
     data = load_csv(cfg.target.path, cfg.target.schema) if dataset else None
     payloads = [(cfg, seed, data) for seed in range(cfg.n_seeds)]
     cores = len(os.sched_getaffinity(0))
     workers = min(cfg.parallelism, cores, cfg.n_seeds)
-    with one_blas_thread() as openblas:  # forked workers inherit the one thread
+    with one_blas_thread() as openblas:
         if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(workers, initializer=set_one_blas_thread) as pool:
                 per_seed = list(pool.map(_seed_worker, payloads))
         else:
             per_seed = [_seed_worker(p) for p in payloads]

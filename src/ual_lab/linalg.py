@@ -4,6 +4,8 @@ A failed factorization raises; nothing adds jitter, which would make the
 result depend on the jitter chosen. numpy's OpenBLAS serves ``cholesky``
 and scipy's serves ``solve_triangular`` and ``dpotrs``; on matrices this
 small (k <= 6 for BPR, a few hundred rows for a GP) extra threads only spin.
+A pool worker sets its own count (``set_one_blas_thread``): a spawned one
+inherits none.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import ctypes
 import functools
 import importlib
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -20,7 +22,8 @@ from scipy.linalg.lapack import dpotrs
 
 from .errors import NumericalError
 
-__all__ = ["chol_spd", "chol_solve_vec", "solve_lower", "one_blas_thread"]
+__all__ = ["chol_spd", "chol_solve_vec", "solve_lower", "one_blas_thread",
+           "set_one_blas_thread"]
 
 # Each OpenBLAS copy, reached by its symbols through an extension module that links it.
 _OPENBLAS = (("numpy._core._multiarray_umath", "64_"), ("scipy.linalg._flapack", ""))
@@ -91,3 +94,11 @@ def one_blas_thread():
     finally:
         for put, before in restore:
             put(before)
+
+
+def set_one_blas_thread() -> None:
+    """A pool worker's initializer: each OpenBLAS copy found on one thread, for good.
+    ``one_blas_thread`` records a copy not found."""
+    for module, suffix in _OPENBLAS:
+        with suppress(ImportError, OSError, AttributeError):
+            _openblas(module, suffix)[2](1)

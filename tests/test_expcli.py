@@ -1,9 +1,11 @@
 import ctypes
 import importlib
 import json
+import multiprocessing
 import os
 import re
 import xml.etree.ElementTree as ET
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -510,9 +512,11 @@ class _SerialPool:
     """Stands in for the process pool: records its size, maps in this process."""
 
     sizes: list = []  # each test patches in its own list
+    initializers: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer):
         self.sizes.append(max_workers)
+        self.initializers.append(initializer)
 
     def __enter__(self):
         return self
@@ -576,6 +580,18 @@ class TestBlasThreads:
         assert _SerialPool.sizes == ([] if pool_size is None else [pool_size])
         runtime = json.loads((tmp_path / "meta.json").read_text())["runtime"]
         assert (runtime["cores"], runtime["workers"]) == (cores, pool_size or 1)
+
+    def test_workers_set_one_thread_whatever_the_start_method(self, monkeypatch):
+        # a spawned worker inherits no thread count from its parent
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(1, mp_context=spawn,
+                                 initializer=linalg.set_one_blas_thread) as pool:
+            assert pool.submit(_blas_threads).result(timeout=120) == [1, 1]
+        monkeypatch.setattr(_SerialPool, "initializers", [])
+        monkeypatch.setattr(expcli, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        run_experiment(parse_config_dict(_small_config(n_seeds=2, budget=2, parallelism=2)))
+        assert _SerialPool.initializers == [linalg.set_one_blas_thread]
 
     def test_meta_records_the_blas_setup(self, tmp_path, caller_threads):
         cfg = parse_config_dict(_small_config(n_seeds=1, budget=2))
