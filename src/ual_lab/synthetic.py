@@ -38,8 +38,6 @@ class GroundTruthTarget:
     per unit x, so the cosine component is amplitude * cos(2*pi*freq*x).
     """
 
-    kind: str
-    order: int
     coefficients: np.ndarray
     cosine_amplitude: float = 0.0
     cosine_frequency: float = 1.0
@@ -47,19 +45,8 @@ class GroundTruthTarget:
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", np.asarray(self.coefficients, dtype=float))
-        if self.kind not in (PURE_POLYNOMIAL, POLYNOMIAL_PLUS_COSINE):
-            raise ValueError(f"unknown target kind {self.kind!r}")
-        if self.order < 0:
-            raise ValueError("order must be >= 0")
-        if self.coefficients.shape != (self.order + 1,):
-            raise ValueError(
-                f"need {self.order + 1} coefficients for order {self.order}, "
-                f"got {self.coefficients.shape}"
-            )
         if self.noise_variance < 0:
             raise ValueError("noise_variance must be >= 0")
-        if self.kind == PURE_POLYNOMIAL and self.cosine_amplitude != 0.0:
-            raise ValueError("pure-polynomial targets must have cosine_amplitude 0")
 
 
 @dataclass(frozen=True)
@@ -86,9 +73,6 @@ class TestSet:
         object.__setattr__(self, "observed_outputs", observed)
         object.__setattr__(self, "clean_outputs", clean)
 
-    def __len__(self) -> int:
-        return self.inputs.shape[0]
-
 
 def sample_target(
     order: int,
@@ -105,12 +89,12 @@ def sample_target(
     """
     if order < 0:
         raise ValueError("order must be >= 0")
+    if kind not in (PURE_POLYNOMIAL, POLYNOMIAL_PLUS_COSINE):
+        raise ValueError(f"unknown target kind {kind!r}")
     coeffs = rng.standard_normal(order + 1)
     if kind == PURE_POLYNOMIAL:
-        return GroundTruthTarget(kind, order, coeffs, 0.0, 1.0, noise_variance)
-    return GroundTruthTarget(
-        kind, order, coeffs, cosine_amplitude, cosine_frequency, noise_variance
-    )
+        return GroundTruthTarget(coeffs, noise_variance=noise_variance)
+    return GroundTruthTarget(coeffs, cosine_amplitude, cosine_frequency, noise_variance)
 
 
 def eval_target(target: GroundTruthTarget, x) -> np.ndarray | float:

@@ -4,7 +4,6 @@ import pytest
 from ual_lab.rng import derive_rng
 from ual_lab.synthetic import (
     POLYNOMIAL_PLUS_COSINE,
-    PURE_POLYNOMIAL,
     GroundTruthTarget,
     build_pool,
     build_test_set,
@@ -35,24 +34,24 @@ class TestSampleTarget:
         poly = w[0] + w[1] * x + w[2] * x * x
         assert eval_target(t, x) == pytest.approx(poly + np.cos(2 * np.pi * x), abs=1e-12)
 
-    def test_pure_kind_rejects_cosine_amplitude(self):
-        with pytest.raises(ValueError):
-            GroundTruthTarget(PURE_POLYNOMIAL, 1, [0.0, 1.0], cosine_amplitude=1.0)
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError, match="unknown target kind 'cosine'"):
+            sample_target(2, derive_rng(3, 1), "cosine")
 
 
 class TestEvalTarget:
     def test_constant_coefficient(self):
-        t = GroundTruthTarget(PURE_POLYNOMIAL, 3, [1, 0, 0, 0])
+        t = GroundTruthTarget([1, 0, 0, 0])
         for x in (-2.0, 0.0, 1.7):
             assert eval_target(t, x) == 1.0
 
     def test_identity_monomial(self):
-        t = GroundTruthTarget(PURE_POLYNOMIAL, 3, [0, 1, 0, 0])
+        t = GroundTruthTarget([0, 1, 0, 0])
         assert eval_target(t, 2.0) == 2.0
 
     def test_hand_polynomial(self):
         # 1 - 2 + 3 at x = -1
-        t = GroundTruthTarget(PURE_POLYNOMIAL, 2, [1, 2, 3])
+        t = GroundTruthTarget([1, 2, 3])
         assert eval_target(t, -1.0) == pytest.approx(2.0, abs=1e-14)
 
     def test_vectorized_matches_scalar(self):
@@ -90,12 +89,12 @@ class TestBuildTestSet:
         t = sample_target(3, derive_rng(8, 0))
         a = build_test_set(500, -2.0, 2.0, t, derive_rng(9, 0))
         b = build_test_set(500, -2.0, 2.0, t, derive_rng(9, 0))
-        assert len(a) == 500
+        assert a.inputs.shape == (500, 1)
         np.testing.assert_array_equal(a.inputs, b.inputs)
         np.testing.assert_array_equal(a.observed_outputs, b.observed_outputs)
 
     def test_noiseless_observed_equals_clean(self):
-        t = GroundTruthTarget(PURE_POLYNOMIAL, 2, [1, 0, 1], noise_variance=0.0)
+        t = GroundTruthTarget([1, 0, 1], noise_variance=0.0)
         ts = build_test_set(50, -2.0, 2.0, t, derive_rng(10, 0))
         np.testing.assert_array_equal(ts.observed_outputs, ts.clean_outputs)
 
