@@ -40,7 +40,7 @@ class DatasetSchema:
     delimiter: str
     target: str
     features: tuple[str, ...]
-    categorical: tuple[str, ...] = ()
+    categorical: tuple[str, ...]
 
     def __post_init__(self):
         if self.target in self.features:
