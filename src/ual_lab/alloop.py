@@ -10,7 +10,8 @@ pass. The surrogate GP of ``direct_mse`` and ``upper_bound`` is fit once
 on the initial point; its pool means and latent variances are then kept
 current by :class:`gpr.PoolPredictions` at O(nm) per label for a pool of
 m, and ``upper_bound``'s distance from each candidate to the nearest
-labeled one by a running minimum at O(m).
+labeled one (the fill distance) by a running minimum of
+:func:`gpr.distances` at O(m).
 
 After the loop, the learner's ``curve`` computes the test error of the
 fit on every prefix of the labeled order in one batched pass. A BPR
@@ -19,8 +20,9 @@ posterior depends only on running sums of phi phi^T and phi y (Bishop
 is tr(S G) + sigma^2 with G = Phi^T Phi / N built once. A GP's prefix
 Cholesky factors are the leading blocks of the factor that ``gp_fit``
 builds on the whole order (Rasmussen & Williams 2006, Alg. 2.1), so that
-one fit and two forward solves give every prefix's test means and
-variances. Neither learner predicts the test set inside the loop.
+one fit, with its whitened targets, and one forward solve for the test
+inputs give every prefix's test means and variances. Neither learner
+predicts the test set inside the loop.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import acquisition as acq
 from .bpr import (
@@ -42,6 +43,7 @@ from .bpr import (
 from .gpr import (
     KernelSpec,
     PoolPredictions,
+    distances,
     gp_fit,
     gp_predict_batch,
     prefix_predictions,
@@ -214,7 +216,7 @@ def run_al(
         means, latent = gp_predict_batch(fit, candidates, include_noise=False)
         surrogate = PoolPredictions(fit, candidates, means, latent, budget + 1)
     if strategy.kind == acq.UPPER_BOUND:
-        d_min = cdist(candidates, candidates[labeled])[:, 0]
+        d_min = distances(candidates, candidates[labeled])[:, 0]
 
     for _ in range(budget):
         indices = np.flatnonzero(active)
@@ -237,7 +239,7 @@ def run_al(
         if surrogate is not None:
             surrogate.append(chosen, labels[chosen])
         if d_min is not None:
-            d_min = np.minimum(d_min, cdist(candidates, candidates[chosen:chosen + 1])[:, 0])
+            d_min = np.minimum(d_min, distances(candidates, candidates[chosen:chosen + 1])[:, 0])
 
     xs = candidates[labeled]
     bias, variance = learner.curve(xs, labels[labeled], test.inputs, targets)

@@ -1,13 +1,17 @@
 """Gaussian process regression with linear, RBF, and Matern-5/2 kernels.
 
 Hyperparameters are fixed by configuration, never learned during a run.
-``gp_fit`` factors from scratch in O(n^3). :class:`PoolPredictions`
-keeps a fitted model's latent means and variances over a fixed point set
-(the pool) and conditions them on one more observation, one of those
-points, in O(nm) for m points, by growing the cached cross factor
-V = L^-1 K(X, pool) by one row (Rasmussen & Williams 2006, Alg. 2.1); no
-solve over the training set is repeated. ``prefix_predictions`` reads the
-fit on every prefix of a model's training order off the same V.
+A fitted GP is the lower Cholesky factor L of K + sigma^2 I and the
+whitened targets z = L^-1 y, built from scratch by ``gp_fit`` in O(n^3).
+The fit is read at points P through one forward solve, V = L^-1 K(X, P)
+(Rasmussen & Williams 2006, Alg. 2.1): the means are V'z and the latent
+variances k(p, p) minus V's squared column sums. ``prefix_predictions``
+reads the fit on every prefix of a model's training order off the same V
+and z, and :class:`PoolPredictions` keeps V over a fixed point set (the
+pool) and conditions on one more of those points in O(nm) for m points
+by growing V and z by one row; no solve over the training set is
+repeated. Distances are computed here (``distances``); scipy serves only
+LAPACK, through ``linalg``.
 """
 
 from __future__ import annotations
@@ -16,14 +20,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import NumericalError
-from .linalg import chol_spd, chol_solve_vec, solve_lower
+from .linalg import chol_spd, solve_lower
 
 __all__ = [
     "KernelSpec",
     "GpModel",
+    "distances",
     "kernel_matrix",
     "gp_fit",
     "PoolPredictions",
@@ -62,6 +66,21 @@ class KernelSpec:
                 raise ValueError("stationary kernels need amplitude > 0 and lengthscale > 0")
 
 
+def distances(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of two ``(n, d)`` and ``(m, d)`` arrays.
+
+    The squared coordinate differences are added onto zeros one coordinate
+    at a time, in order, before the square root: the sum that scipy's
+    Euclidean ``cdist`` forms, so the result is the same bit for bit.
+    """
+    total = np.zeros((xa.shape[0], xb.shape[0]))
+    step = np.empty_like(total)
+    for a, b in zip(xa.T, xb.T):
+        np.subtract(a[:, None], b, out=step)
+        total += np.square(step, out=step)
+    return np.sqrt(total, out=total)
+
+
 def kernel_matrix(spec: KernelSpec, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     """Cross-covariance matrix between row-stacked inputs."""
     xa = np.atleast_2d(np.asarray(xa, dtype=float))
@@ -70,7 +89,7 @@ def kernel_matrix(spec: KernelSpec, xa: np.ndarray, xb: np.ndarray) -> np.ndarra
         raise ValueError(f"input dimension mismatch: {xa.shape[1]} vs {xb.shape[1]}")
     if spec.kind == LINEAR:
         return spec.bias + spec.weight * (xa @ xb.T)
-    r = cdist(xa, xb)
+    r = distances(xa, xb)
     if spec.kind == RBF:
         return spec.amplitude * np.exp(-0.5 * (r / spec.lengthscale) ** 2)
     s = math.sqrt(5.0) * r / spec.lengthscale
@@ -79,13 +98,12 @@ def kernel_matrix(spec: KernelSpec, xa: np.ndarray, xb: np.ndarray) -> np.ndarra
 
 @dataclass(frozen=True)
 class GpModel:
-    """A fitted zero-mean GP: factored (K + sigma^2 I) and precomputed weights."""
+    """A fitted zero-mean GP: L L' = K + sigma^2 I and the whitened targets z = L^-1 y."""
 
     kernel: KernelSpec
     train_inputs: np.ndarray      # (n, d)
-    train_outputs: np.ndarray     # (n,)
-    chol_factor: np.ndarray       # lower factor, (n, n)
-    weights: np.ndarray           # alpha solving (K + sigma^2 I) alpha = y
+    chol_factor: np.ndarray       # lower factor L, (n, n)
+    whitened_outputs: np.ndarray  # z, (n,)
     noise_variance: float
 
     @property
@@ -99,8 +117,8 @@ def gp_fit(
     ys,
     noise_variance: float,
 ) -> GpModel:
-    """Fit from scratch on at least one point: factor (K + sigma^2 I), solve
-    for the weights."""
+    """Fit from scratch on at least one point: factor (K + sigma^2 I) as L L'
+    and whiten the targets, z = L^-1 y."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.asarray(ys, dtype=float).reshape(-1)
     if ys.size == 0:
@@ -111,8 +129,7 @@ def gp_fit(
         raise ValueError("noise_variance must be >= 0")
     gram = kernel_matrix(spec, xs, xs) + noise_variance * np.eye(xs.shape[0])
     lower = chol_spd(gram)
-    alpha = chol_solve_vec(lower, ys)
-    return GpModel(spec, xs, ys, lower, alpha, noise_variance)
+    return GpModel(spec, xs, lower, solve_lower(lower, ys), noise_variance)
 
 
 def gp_predict_batch(
@@ -125,13 +142,11 @@ def gp_predict_batch(
     the same scale as the parametric models'.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    k_star = kernel_matrix(model.kernel, model.train_inputs, xs)  # (n, m)
-    means = k_star.T @ model.weights
-    v = solve_lower(model.chol_factor, k_star)
-    variances = _prior_diag(model.kernel, xs) - np.einsum("ij,ij->j", v, v)
+    cross = _whitened(model, xs)  # (n, m)
+    variances = _prior_diag(model.kernel, xs) - np.einsum("ij,ij->j", cross, cross)
     if include_noise:
         variances = variances + model.noise_variance
-    return means, variances
+    return cross.T @ model.whitened_outputs, variances
 
 
 def prefix_predictions(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
@@ -141,25 +156,24 @@ def prefix_predictions(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
     Row t is ``gp_predict_batch(gp_fit(kernel, xs[:t + 1], ys[:t + 1], ...),
     points, include_noise=False)``. The Cholesky factor of a prefix's Gram
     matrix is the leading block of the whole order's (Rasmussen & Williams
-    2006, Alg. 2.1), so ``model``'s factor serves every prefix: with
-    V = L^-1 K(X, points) and z = L^-1 y, the means are running sums of V's
-    rows weighted by z and the variances k(p, p) minus running sums of V's
-    squared rows.
+    2006, Alg. 2.1), and so are the leading entries of z = L^-1 y, so
+    ``model``'s L and z serve every prefix: with V = L^-1 K(X, points), the
+    means are running sums of V's rows weighted by z and the variances
+    k(p, p) minus running sums of V's squared rows.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    cross, z = _whitened(model, points)
+    cross = _whitened(model, points)
     latent = np.square(cross)
     np.cumsum(latent, axis=0, out=latent)
     np.subtract(_prior_diag(model.kernel, points), latent, out=latent)
-    cross *= z[:, None]
+    cross *= model.whitened_outputs[:, None]
     return np.cumsum(cross, axis=0, out=cross), latent
 
 
-def _whitened(model: GpModel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """V = L^-1 K(X, points) and z = L^-1 y for ``model``'s factor L."""
-    cross = kernel_matrix(model.kernel, model.train_inputs, points)
-    return (solve_lower(model.chol_factor, cross),
-            solve_lower(model.chol_factor, model.train_outputs))
+def _whitened(model: GpModel, points: np.ndarray) -> np.ndarray:
+    """V = L^-1 K(X, points) for ``model``'s factor L."""
+    return solve_lower(model.chol_factor,
+                       kernel_matrix(model.kernel, model.train_inputs, points))
 
 
 def _prior_diag(spec: KernelSpec, xs: np.ndarray) -> np.ndarray:
@@ -201,7 +215,8 @@ class PoolPredictions:
         self._prior = _prior_diag(model.kernel, points)
         self._rows = np.empty((capacity, points.shape[0]))
         self._z = np.empty(capacity)
-        self._rows[:n], self._z[:n] = _whitened(model, points)
+        self._rows[:n] = _whitened(model, points)
+        self._z[:n] = model.whitened_outputs
 
     def append(self, index: int, y: float) -> None:
         """Condition on the label ``y`` observed at ``points[index]``."""

@@ -129,7 +129,7 @@ class TestUpperBoundScore:
         model = _fit_bpr(1, xs, ys, noise=sig2)
         x = np.array([[xs[7]]])
         score = _upper(surrogate, model, x, xs[:, None], 3.0, 0.05)[0]
-        g_mean = surrogate.train_outputs[7]
+        g_mean = ys[7]
         f_mean = model.predict_batch(x)[0][0]
         assert score == pytest.approx((g_mean - f_mean) ** 2 + sig2, abs=1e-4)
 

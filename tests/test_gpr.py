@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from ual_lab.bpr import default_prior, posterior_update, predictive_batch
 from ual_lab.errors import NumericalError
 from ual_lab.gpr import (
     KernelSpec,
     PoolPredictions,
+    distances,
     gp_fit,
     gp_predict_batch,
     kernel_matrix,
@@ -21,6 +23,15 @@ def _k(spec, x, x2):
 
 
 class TestKernels:
+    @pytest.mark.parametrize("d", [0, 1, 2, 8, 11])
+    def test_distances_equal_cdist_bitwise(self, d):
+        rng = derive_rng(29, d)
+        xa = rng.standard_normal((17, d)) * rng.uniform(0.01, 100.0, d)
+        xb = rng.standard_normal((9, d)) * rng.uniform(0.01, 100.0, d)
+        got = distances(xa, xb)
+        assert got.shape == (17, 9)
+        np.testing.assert_array_equal(got, cdist(xa, xb))
+
     def test_rbf_zero_distance(self):
         spec = KernelSpec("rbf", amplitude=2.5, lengthscale=0.7)
         assert _k(spec, [1.3], [1.3]) == pytest.approx(2.5)
@@ -65,14 +76,14 @@ class TestFitPredict:
 
     def test_single_point_hand_values(self):
         model = gp_fit(KernelSpec("rbf"), [[0.0]], [2.0], 1.0)
-        np.testing.assert_allclose(model.weights, [1.0])
+        np.testing.assert_allclose(model.whitened_outputs, [2.0 / np.sqrt(2.0)])
         (mean,), (var,) = gp_predict_batch(model, [[0.0]], include_noise=False)
         assert mean == pytest.approx(1.0, abs=1e-12)
         assert var == pytest.approx(0.5, abs=1e-12)
 
     def test_duplicate_inputs_with_noise(self):
         model = gp_fit(KernelSpec("rbf"), [[0.5], [0.5], [0.5]], [1.0, 1.2, 0.8], 0.5)
-        assert np.all(np.isfinite(model.weights))
+        assert np.all(np.isfinite(model.whitened_outputs))
 
     def test_interpolation_as_noise_vanishes(self):
         rng = derive_rng(31, 0)
