@@ -190,12 +190,15 @@ def standardized(ds: TabularDataset, train: np.ndarray,
                  test: np.ndarray) -> tuple[np.ndarray, ...]:
     """``(train_x, train_y, test_x, test_y)`` centred and scaled by the means
     and stds of the ``train`` rows only, so no test row leaks into either
-    partition; feature columns constant on the train rows are dropped."""
+    partition; feature columns constant on the train rows are dropped, and
+    at least one must vary."""
     if len(train) == 0:
         raise ValueError("cannot standardize on an empty train partition")
     x, y = ds.features[train], ds.targets[train]
     means, stds = x.mean(axis=0), x.std(axis=0)
     keep = stds > 0
+    if not keep.any():
+        raise DataError("every feature column is constant on the training split")
     y_mean, y_std = y.mean(), y.std()
     if y_std == 0:
         raise DataError("target column is constant on the training split")

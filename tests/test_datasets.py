@@ -301,10 +301,14 @@ class TestRejected:
         with pytest.raises(ValueError, match="empty train partition"):
             standardized(ds, np.arange(0), np.arange(8))
 
-    def test_constant_train_target_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("column", ["target", "every feature"])
+    def test_constant_train_target_exits_2(self, tmp_path, capsys, column):
         rng = derive_rng(84, 1)
-        rows = [",".join(f"{v:.3f}" for v in rng.uniform(0, 100, 8)) + ",5.0"
-                for _ in range(12)]
+        if column == "target":
+            rows = [",".join(f"{v:.3f}" for v in rng.uniform(0, 100, 8)) + ",5.0"
+                    for _ in range(12)]
+        else:
+            rows = [",".join(["7.0"] * 8) + f",{v:.3f}" for v in rng.uniform(1, 9, 12)]
         data_path = tmp_path / "c.csv"
         data_path.write_text("\n".join([CONCRETE_HEADER, *rows]) + "\n")
         cfg_path = tmp_path / "cfg.json"
@@ -317,4 +321,4 @@ class TestRejected:
         }))
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == \
-            "error: target column is constant on the training split\n"
+            f"error: {column} column is constant on the training split\n"
