@@ -2,16 +2,14 @@
 
 Hyperparameters are fixed by configuration, never learned during a run.
 A fitted GP is the lower Cholesky factor L of K + sigma^2 I and the
-whitened targets z = L^-1 y, built from scratch by ``gp_fit`` in O(n^3).
-The fit is read at points P through one forward solve, V = L^-1 K(X, P)
-(Rasmussen & Williams 2006, Alg. 2.1): the means are V'z and the latent
-variances k(p, p) minus V's squared column sums. ``prefix_predictions``
-reads the fit on every prefix of a model's training order off the same V
-and z, and :class:`PoolPredictions` keeps V over a fixed point set (the
-pool) and conditions on one more of those points in O(nm) for m points
-by growing V and z by one row; no solve over the training set is
-repeated. Distances are computed here (``distances``); scipy serves only
-LAPACK, through ``linalg``.
+whitened targets z = L^-1 y, built by ``gp_fit`` in O(n^3). It is read at
+points P through V = L^-1 K(X, P) (Rasmussen & Williams 2006, Alg. 2.1):
+means V'z, latent variances k(p, p) minus V's squared column sums.
+``prefix_predictions`` reads every prefix of the training order off the
+same V and z, and :class:`PoolPredictions` keeps V over a fixed point set
+and grows V and z by one row per label, in O(nm) for m points. Distances
+are computed here (``distances``); scipy serves only LAPACK, through
+``linalg``.
 """
 
 from __future__ import annotations
