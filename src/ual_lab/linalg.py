@@ -1,11 +1,13 @@
 """Cholesky factorizations and solves, and the BLAS threads they run on.
 
 A failed factorization raises; nothing adds jitter, which would make the
-result depend on the jitter chosen. numpy's OpenBLAS serves ``cholesky``
-and scipy's serves ``solve_triangular`` and ``dpotrs``; on matrices this
-small (k <= 6 for BPR, a few hundred rows for a GP) extra threads only spin.
-A pool worker sets its own count (``set_one_blas_thread``): a spawned one
-inherits none.
+result depend on the jitter chosen. numpy's OpenBLAS serves ``cholesky``;
+scipy's serves the LAPACK routines ``dtrtrs`` and ``dpotrs``, called in
+scipy's f2py LAPACK module ``_flapack``, which is loaded from its file on
+its own: the scipy.linalg package around it loads some 250 more modules.
+On matrices this small (k <= 6 for BPR, a few hundred rows for a GP) extra
+threads only spin. A pool worker sets its own count
+(``set_one_blas_thread``): a spawned one inherits none.
 """
 
 from __future__ import annotations
@@ -13,20 +15,50 @@ from __future__ import annotations
 import ctypes
 import functools
 import importlib
+import importlib.machinery
+import importlib.util
 import os
+import sys
 from contextlib import contextmanager, suppress
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrs
 
 from .errors import NumericalError
 
 __all__ = ["chol_spd", "chol_solve_vec", "solve_lower", "one_blas_thread",
            "set_one_blas_thread"]
 
+_FLAPACK = "scipy.linalg._flapack"
+
 # Each OpenBLAS copy, reached by its symbols through an extension module that links it.
-_OPENBLAS = (("numpy._core._multiarray_umath", "64_"), ("scipy.linalg._flapack", ""))
+_OPENBLAS = (("numpy._core._multiarray_umath", "64_"), (_FLAPACK, ""))
+
+
+def _load_flapack():
+    """scipy's ``_flapack`` extension module, loaded from its file.
+
+    ``find_spec`` locates scipy without importing it. The module's init
+    registers it in ``sys.modules``; unless scipy.linalg put it there first,
+    the entry is dropped again, so scipy.linalg, imported later, loads its
+    own module object (sharing these function objects).
+    """
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    path = os.path.join(os.path.dirname(scipy.origin), "linalg",
+                        "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        raise ImportError(f"scipy's LAPACK module {path} not found", path=path)
+    registered = _FLAPACK in sys.modules  # by an earlier import of scipy.linalg
+    spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if not registered:
+        sys.modules.pop(_FLAPACK, None)
+    return module
+
+
+_flapack = _load_flapack()
 
 
 def chol_spd(a: np.ndarray) -> np.ndarray:
@@ -48,21 +80,47 @@ def chol_solve_vec(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if not (np.isfinite(lower).all() and np.isfinite(b).all()):
         raise ValueError("Cholesky solve: the factor or the right-hand side is not finite")
-    x, info = dpotrs(lower, b, lower=1)
+    x, info = _flapack.dpotrs(lower, b, lower=1)
     if info != 0:
         raise ValueError(f"Cholesky solve: dpotrs rejected argument {-info}")
     return x
 
 
 def solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Forward substitution ``L x = b``."""
-    return solve_triangular(lower, b, lower=True)
+    """Forward substitution ``L x = b``; ``b`` is a vector or a matrix.
+
+    LAPACK ``dtrtrs`` called as ``scipy.linalg.solve_triangular(lower, b,
+    lower=True)`` calls it, bit for bit, with its checks: non-finite input
+    or mismatched shapes raise ``ValueError``, a singular factor
+    ``LinAlgError``. A C-ordered factor is passed as the transposed upper
+    one, which is the same memory in Fortran order.
+    """
+    lower, b = np.asarray(lower), np.asarray(b)
+    if not (np.isfinite(lower).all() and np.isfinite(b).all()):
+        raise ValueError("triangular solve: the factor or the right-hand side is not finite")
+    if lower.ndim != 2 or lower.shape[0] != lower.shape[1]:
+        raise ValueError(f"triangular solve: the factor of shape {lower.shape} is not square")
+    if lower.shape[0] != b.shape[0]:
+        raise ValueError(f"triangular solve: the factor of shape {lower.shape} and the "
+                         f"right-hand side of shape {b.shape} are incompatible")
+    if b.size == 0:
+        return np.empty_like(b, dtype=float)
+    if lower.flags.f_contiguous:
+        x, info = _flapack.dtrtrs(lower, b, lower=1, trans=0)
+    else:
+        x, info = _flapack.dtrtrs(lower.T, b, lower=0, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"triangular solve: dtrtrs rejected argument {-info}")
+    return x
 
 
 @functools.cache
 def _openblas(module: str, suffix: str):
     """The library path and the thread-count getter and setter of one copy."""
-    lib = ctypes.CDLL(importlib.import_module(module).__file__)
+    owner = _flapack if module == _FLAPACK else importlib.import_module(module)
+    lib = ctypes.CDLL(owner.__file__)
     get, put = (getattr(lib, f"scipy_openblas_{op}_num_threads{suffix}") for op in ("get", "set"))
     get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
     dladdr, info = ctypes.CDLL(None).dladdr, (ctypes.c_char_p * 4)()  # Dl_info: path first

@@ -1,5 +1,6 @@
 """Every name a ual_lab module exports through ``__all__`` resolves, and the
-package loads no more of scipy than its linear algebra."""
+package runs its LAPACK calls without loading the scipy.linalg or
+scipy.spatial packages."""
 
 import importlib
 import os
@@ -24,12 +25,22 @@ def test_exported_names_resolve(name):
     assert not missing, f"ual_lab.{name}.__all__ names undefined {missing}"
 
 
-def test_cli_import_loads_no_scipy_spatial():
+def test_cli_and_its_solves_load_no_scipy_linalg_or_spatial_package():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    code = ("import sys, ual_lab.expcli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))")
+    code = """
+import sys
+import numpy as np
+import ual_lab.expcli
+from ual_lab.linalg import chol_solve_vec, one_blas_thread, solve_lower
+with one_blas_thread():
+    solve_lower(np.eye(2), np.ones(2))
+    chol_solve_vec(np.eye(2), np.ones(2))
+print(sorted(m for m in sys.modules if m.startswith(("scipy.linalg", "scipy.spatial"))))
+import scipy.linalg
+print(scipy.linalg._flapack.dpotrs is scipy.linalg.lapack.dpotrs)
+"""
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split() == ["[]", "True"]
