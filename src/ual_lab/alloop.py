@@ -195,8 +195,8 @@ def run_al(
         raise ValueError(f"labels of shape {labels.shape} do not match the {n} candidates")
     if not 0 <= init_index < n:
         raise ValueError(f"init_index {init_index} is not one of the {n} candidates")
-    if budget > n - 1:
-        raise ValueError(f"budget {budget} exceeds the {n - 1} candidates left "
+    if not 0 <= budget <= n - 1:
+        raise ValueError(f"budget {budget} is not within the {n - 1} candidates left "
                          "after the initial one")
     if isinstance(strategy.gradient_bound, str):
         raise ValueError("gradient_bound must be resolved to a number before running")
@@ -206,24 +206,25 @@ def run_al(
     if len(targets) == 0:
         raise ValueError("test set is empty")
 
-    labeled = [init_index]
+    order = np.empty(budget + 1, dtype=np.intp)  # the labeled order; step 0 is the initial one
+    order[0] = init_index
     active = np.ones(n, dtype=bool)
     active[init_index] = False
     surrogate = d_min = None
     if strategy.kind in (acq.DIRECT_MSE, acq.UPPER_BOUND):
-        fit = gp_fit(strategy.surrogate_kernel, candidates[labeled], labels[labeled],
+        fit = gp_fit(strategy.surrogate_kernel, candidates[order[:1]], labels[order[:1]],
                      learner.noise_variance)
         means, latent = gp_predict_batch(fit, candidates, include_noise=False)
         surrogate = PoolPredictions(fit, candidates, means, latent, budget + 1)
     if strategy.kind == acq.UPPER_BOUND:
-        d_min = distances(candidates, candidates[labeled])[:, 0]
+        d_min = distances(candidates, candidates[order[:1]])[:, 0]
 
-    for _ in range(budget):
+    for step in range(1, budget + 1):
         indices = np.flatnonzero(active)
         if strategy.kind == acq.RANDOM:
             chosen = acq.score_random(rng, indices)
         else:
-            learner.fit(candidates[labeled], labels[labeled])
+            learner.fit(candidates[order[:step]], labels[order[:step]])
             xs = candidates[indices]
             if strategy.kind == acq.VARIANCE:
                 scores = acq.score_variance(learner, xs)
@@ -234,14 +235,14 @@ def run_al(
                     learner, xs, surrogate.means[indices], surrogate.latent[indices],
                     d_min[indices], strategy.gradient_bound, strategy.confidence)
             chosen = acq.select(indices, scores)
-        labeled.append(chosen)
+        order[step] = chosen
         active[chosen] = False
         if surrogate is not None:
             surrogate.append(chosen, labels[chosen])
         if d_min is not None:
             d_min = np.minimum(d_min, distances(candidates, candidates[chosen:chosen + 1])[:, 0])
 
-    xs = candidates[labeled]
-    bias, variance = learner.curve(xs, labels[labeled], test.inputs, targets)
+    xs = candidates[order]
+    bias, variance = learner.curve(xs, labels[order], test.inputs, targets)
     return RunTrace(xs[1:], bias + variance,
                     bias if clean else None, variance if clean else None)

@@ -49,6 +49,12 @@ class TestRunAl:
             run_al(BprLearner(1, 1.0), StrategySpec("random"), pool, labels,
                    init, test, 5, derive_rng(70, 0, 6))
 
+    def test_negative_budget_rejected(self):
+        _, labels, pool, init, test = _setup(pool_n=5)
+        with pytest.raises(ValueError, match="budget -1 is not within the 4 candidates"):
+            run_al(BprLearner(1, 1.0), StrategySpec("random"), pool, labels,
+                   init, test, -1, derive_rng(70, 0, 6))
+
     def test_init_index_outside_pool_rejected(self):
         _, labels, pool, _, test = _setup(pool_n=5)
         with pytest.raises(ValueError, match="init_index"):
