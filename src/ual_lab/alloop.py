@@ -13,16 +13,15 @@ m, and ``upper_bound``'s distance from each candidate to the nearest
 labeled one (the fill distance) by a running minimum of
 :func:`gpr.distances` at O(m).
 
-After the loop, the learner's ``curve`` computes the test error of the
-fit on every prefix of the labeled order in one batched pass. A BPR
-posterior depends only on running sums of phi phi^T and phi y (Bishop
-2006, PRML 3.3), and its mean predictive variance over the N test inputs
-is tr(S G) + sigma^2 with G = Phi^T Phi / N built once. A GP's prefix
-Cholesky factors are the leading blocks of the factor that ``gp_fit``
-builds on the whole order (Rasmussen & Williams 2006, Alg. 2.1), so that
-one fit, with its whitened targets, and one forward solve for the test
-inputs give every prefix's test means and variances. Neither learner
-predicts the test set inside the loop.
+After the loop, the learner's ``curve`` predicts the test set from the
+fit on every prefix of the labeled order in one batched pass, and
+``run_al`` alone forms the test error from it. A BPR posterior depends
+only on running sums of phi phi^T and phi y (Bishop 2006, PRML 3.3), and
+its mean latent variance over the N test inputs is tr(S G) with
+G = Phi^T Phi / N built once. A GP's prefix Cholesky factors are the
+leading blocks of the factor that ``gp_fit`` builds on the whole order
+(Rasmussen & Williams 2006, Alg. 2.1), so one fit and one forward solve
+for the test inputs give every prefix's test means and variances.
 """
 
 from __future__ import annotations
@@ -122,20 +121,16 @@ class BprLearner:
         """Predictive means and variances, noise floor included."""
         return predictive_batch(self.posterior, _univariate(xs))
 
-    def curve(self, xs, ys, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
-        """(bias, spread) over a fixed test set of the fit on every prefix of (xs, ys).
+    def curve(self, xs, ys, inputs) -> tuple[np.ndarray, np.ndarray]:
+        """(means, spread) at fixed test inputs of the fit on every prefix of (xs, ys).
 
-        Entry t belongs to the first t + 1 points. With the test design Phi
-        built once, the bias is mean((targets - Phi m_t)^2), as
-        :func:`bpr.predictive_batch` gives it, and the spread tr(S_t G) with
-        G = Phi^T Phi / N.
+        Row or entry t belongs to the first t + 1 points. With the test
+        design Phi built once, the means are Phi m_t and the spread, the
+        mean latent variance, tr(S_t G) with G = Phi^T Phi / N.
         """
         means, covs = prefix_posteriors(self.prior, _univariate(xs), ys)
         phi = design_matrix(_univariate(inputs), self.prior.degree)
-        gram = phi.T @ phi / len(targets)
-        resid = means @ phi.T  # the one (steps, test) array, reused in place
-        np.subtract(targets, resid, out=resid)
-        return np.mean(np.square(resid, out=resid), axis=1), np.einsum("tij,ij->t", covs, gram)
+        return means @ phi.T, np.einsum("tij,ij->t", covs, phi.T @ phi / len(phi))
 
 
 class GprLearner:
@@ -154,16 +149,15 @@ class GprLearner:
         """Predictive means and variances, noise floor included."""
         return gp_predict_batch(self.model, xs, include_noise=True)
 
-    def curve(self, xs, ys, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
-        """(bias, spread) over a fixed test set of the fit on every prefix of (xs, ys).
+    def curve(self, xs, ys, inputs) -> tuple[np.ndarray, np.ndarray]:
+        """(means, spread) at fixed test inputs of the fit on every prefix of (xs, ys).
 
-        Entry t belongs to the first t + 1 points. The bias is
-        mean((targets - mean_t)^2) and the spread the mean latent variance.
+        Row or entry t belongs to the first t + 1 points; the spread is the
+        mean latent variance.
         """
         means, latent = prefix_predictions(gp_fit(self.kernel, xs, ys, self.noise_variance),
                                            inputs)
-        resid = np.subtract(targets, means, out=means)
-        return np.mean(np.square(resid, out=resid), axis=1), latent.mean(axis=1)
+        return means, latent.mean(axis=1)
 
 
 def run_al(
@@ -182,13 +176,13 @@ def run_al(
     place on the labeled points before each step whose score reads it.
     ``candidates`` is the (n, d) pool and ``labels`` its (n,) outputs;
     every labeled point, the initial one included, is one of its rows.
-    Once the order is picked, ``learner.curve`` gives the test error of the
-    fit on each of its prefixes, step 0 being the initial point alone:
-    split into bias and variance against the noiseless targets when the
-    test set has them (synthetic targets), and the MSE against the observed
-    targets otherwise (real datasets). The rng is consumed only by the
-    random strategy, so selection and model are fully decoupled for the
-    baselines.
+    Once the order is picked, ``learner.curve`` predicts the test inputs
+    from the fit on each of its prefixes, step 0 being the initial point
+    alone. The test error is the squared residual of its means (the bias)
+    plus its spread: split against the noiseless targets when the test set
+    has them (synthetic targets), the MSE against the observed targets
+    otherwise (real datasets). The rng is consumed only by the random
+    strategy, so selection and model are fully decoupled for the baselines.
     """
     n = candidates.shape[0]
     if labels.shape != (n,):
@@ -243,6 +237,8 @@ def run_al(
             d_min = np.minimum(d_min, distances(candidates, candidates[chosen:chosen + 1])[:, 0])
 
     xs = candidates[order]
-    bias, variance = learner.curve(xs, labels[order], test.inputs, targets)
+    means, variance = learner.curve(xs, labels[order], test.inputs)
+    resid = np.subtract(targets, means, out=means)  # the one (steps, test) array, reused
+    bias = np.mean(np.square(resid, out=resid), axis=1)
     return RunTrace(xs[1:], bias + variance,
                     bias if clean else None, variance if clean else None)

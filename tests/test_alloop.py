@@ -267,11 +267,10 @@ class TestTestMse:
         def fit(self, xs, ys):
             return self
 
-        def curve(self, xs, ys, inputs, targets):
+        def curve(self, xs, ys, inputs):
             means, variances = self.model.predict_batch(inputs)
-            bias = np.mean((targets - means) ** 2)
             spread = np.mean(variances - self.model.noise_variance)
-            return np.full(len(ys), bias), np.full(len(ys), spread)
+            return np.tile(means, (len(ys), 1)), np.full(len(ys), spread)
 
     def _recorded_mse(self, model, test):
         trace = run_al(self._FixedLearner(model), StrategySpec("random"),
@@ -323,8 +322,10 @@ def test_step_terms_match_test_set_predictions(degree, clean):
         trace = run_al(learner, StrategySpec(kind), pool, labels, init, test, 15,
                        derive_rng(70, seed, 4))
         order = [init] + [int(np.flatnonzero(pool[:, 0] == x)[0]) for x in trace.chosen_x[:, 0]]
-        got_bias, got_spread = learner.curve(pool[order], labels[order], test.inputs, targets)
-        assert got_bias.shape == got_spread.shape == (len(order),)
+        got_means, got_spread = learner.curve(pool[order], labels[order], test.inputs)
+        assert got_means.shape == (len(order), len(targets))
+        assert got_spread.shape == (len(order),)
+        got_bias = np.mean(np.square(targets - got_means), axis=1)
         np.testing.assert_array_equal(trace.test_mse, got_bias + got_spread)
         if clean:
             np.testing.assert_array_equal(trace.bias, got_bias)
@@ -338,6 +339,8 @@ def test_step_terms_match_test_set_predictions(degree, clean):
                 means, variances = predictive_batch(post, test.inputs[:, 0])
             bias = float(np.mean((targets - means) ** 2))
             spread = float(np.mean(variances - 1.0))
+            np.testing.assert_allclose(got_means[step], means, rtol=1e-12,
+                                       atol=1e-12 * np.abs(means).max())
             assert got_bias[step] == pytest.approx(bias, rel=1e-12, abs=0.0), (kind, step)
             assert got_spread[step] == pytest.approx(spread, rel=1e-12, abs=0.0), (kind, step)
 
@@ -429,9 +432,9 @@ class _RecordingLearner(BprLearner):
         self.fits.append((xs.copy(), np.array(ys, dtype=float)))
         return super().fit(xs, ys)
 
-    def curve(self, xs, ys, inputs, targets):
+    def curve(self, xs, ys, inputs):
         self.curves.append((xs.copy(), np.array(ys, dtype=float)))
-        return super().curve(xs, ys, inputs, targets)
+        return super().curve(xs, ys, inputs)
 
 
 @st.composite
