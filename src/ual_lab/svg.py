@@ -1,7 +1,9 @@
 """Minimal self-contained SVG line charts.
 
 Diagnostic plots only: axes, decade ticks on a log y scale, one polyline
-per series with an optional shaded band, and a legend. No external
+per series with an optional shaded band, and a legend. A band value at or
+below zero has no place on the log axis: it does not set the y range, and
+its band point is drawn on the frame's bottom edge. No external
 references, fonts, or scripts, so the files are valid standalone SVG 1.1.
 """
 
@@ -9,8 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from html import escape
 from typing import Optional, Sequence
-from xml.sax.saxutils import escape
 
 __all__ = ["Series", "line_chart"]
 
@@ -38,6 +40,7 @@ def line_chart(
     """Render series as an SVG document string, with a log y axis."""
     if not series:
         raise ValueError("need at least one series")
+    title, x_label, y_label = (escape(t, quote=False) for t in (title, x_label, y_label))
     margin_l, margin_r, margin_t, margin_b = 64, 16, 36, 46
     plot_w = _WIDTH - margin_l - margin_r
     plot_h = _HEIGHT - margin_t - margin_b
@@ -48,10 +51,9 @@ def line_chart(
     xs_all = [x for s in series for x in s.xs]
     ys_all = [ty(y) for s in series for y in s.ys]
     for s in series:
-        if s.band_low is not None:
-            ys_all.extend(ty(v) for v in s.band_low)
-        if s.band_high is not None:
-            ys_all.extend(ty(v) for v in s.band_high)
+        for band in (s.band_low, s.band_high):
+            if band is not None:
+                ys_all.extend(ty(v) for v in band if v > 0)
     x_min, x_max = min(xs_all), max(xs_all)
     y_min, y_max = min(ys_all), max(ys_all)
     if x_max == x_min:
@@ -62,8 +64,9 @@ def line_chart(
     def px(x: float) -> float:
         return margin_l + (x - x_min) / (x_max - x_min) * plot_w
 
-    def py(y: float) -> float:
-        return margin_t + (y_max - ty(y)) / (y_max - y_min) * plot_h
+    def py(y: float) -> float:  # only a band point can fall outside the frame
+        return min(max(margin_t + (y_max - ty(y)) / (y_max - y_min) * plot_h, margin_t),
+                   margin_t + plot_h)
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -71,7 +74,7 @@ def line_chart(
         f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
         f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="14">{title}</text>',
     ]
     # frame
     parts.append(
@@ -105,12 +108,12 @@ def line_chart(
         )
     parts.append(
         f'<text x="{margin_l + plot_w / 2:.1f}" y="{_HEIGHT - 10}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{escape(x_label)}</text>'
+        f'font-family="sans-serif" font-size="12">{x_label}</text>'
     )
     parts.append(
         f'<text x="16" y="{margin_t + plot_h / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {margin_t + plot_h / 2:.1f})">{escape(y_label)}</text>'
+        f'transform="rotate(-90 16 {margin_t + plot_h / 2:.1f})">{y_label}</text>'
     )
     # series
     for i, s in enumerate(series):
@@ -139,7 +142,7 @@ def line_chart(
         )
         parts.append(
             f'<text x="{legend_x + 24}" y="{y_pix}" font-family="sans-serif" '
-            f'font-size="11">{escape(s.name)}</text>'
+            f'font-size="11">{escape(s.name, quote=False)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

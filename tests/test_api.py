@@ -1,6 +1,6 @@
-"""Every name a ual_lab module exports through ``__all__`` resolves, and the
+"""Every name a ual_lab module exports through ``__all__`` resolves, the
 package runs its LAPACK calls without loading the scipy.linalg or
-scipy.spatial packages."""
+scipy.spatial packages, and the CLI loads no XML, network or mail module."""
 
 import importlib
 import os
@@ -25,9 +25,17 @@ def test_exported_names_resolve(name):
     assert not missing, f"ual_lab.{name}.__all__ names undefined {missing}"
 
 
-def test_cli_and_its_solves_load_no_scipy_linalg_or_spatial_package():
+def _fresh_stdout(code):
+    """What ``code`` prints in a fresh interpreter that imports ual_lab from src/."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
+def test_cli_and_its_solves_load_no_scipy_linalg_or_spatial_package():
     code = """
 import sys
 import numpy as np
@@ -40,7 +48,15 @@ print(sorted(m for m in sys.modules if m.startswith(("scipy.linalg", "scipy.spat
 import scipy.linalg
 print(scipy.linalg._flapack.dpotrs is scipy.linalg.lapack.dpotrs)
 """
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.split() == ["[]", "True"]
+    assert _fresh_stdout(code).split() == ["[]", "True"]
+
+
+def test_cli_loads_no_xml_network_or_mail_module():
+    # the charts escape their text with html.escape: xml.sax.saxutils would
+    # pull in urllib.request, http.client, ssl and email
+    code = """
+import sys
+import ual_lab.expcli
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("xml", "ssl", "http", "email")))
+"""
+    assert _fresh_stdout(code).split() == ["[]"]
