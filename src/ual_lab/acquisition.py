@@ -3,12 +3,12 @@
 Four strategies: predictive-variance, uniform random, squared discrepancy
 against a surrogate GP fit on the labeled data, and a high-probability
 error upper bound (GP credible width plus a Lipschitz fill-distance term).
-The three model-based scores predict through the fitted learner's
-``predict_batch``, which converts the candidate array itself.
-The two surrogate scores take the surrogate's means, latent variances and
-nearest-labeled distances at the candidates, which the run loop keeps
-current, so scoring does no kernel, solve or distance work over the
-labeled set.
+The three model-based scores read arrays, never a model: the learner's
+predictive means and variances at the active candidates, which the run
+loop predicts once per step. The two surrogate scores also take the
+surrogate's means, latent variances and nearest-labeled distances at the
+candidates, which the run loop keeps current, so scoring does no kernel,
+solve or distance work over the labeled set.
 Selection works on the indices of the still-unlabeled pool candidates.
 Ties always break to the lowest candidate index so selections are
 reproducible across platforms.
@@ -75,16 +75,15 @@ class StrategySpec:
                 raise ValueError("upper_bound strategy needs a gradient_bound")
             if isinstance(self.gradient_bound, str):
                 if self.gradient_bound != "auto":
-                    raise ValueError("gradient_bound must be a positive number or 'auto'")
-            elif self.gradient_bound <= 0:
-                raise ValueError("gradient_bound must be > 0")
+                    raise ValueError("gradient_bound must be a number >= 0 or 'auto'")
+            elif self.gradient_bound < 0:
+                raise ValueError("gradient_bound must be >= 0")
             if not 0.0 < self.confidence < 1.0:
                 raise ValueError("confidence must lie in (0, 1)")
 
 
-def score_variance(model, xs) -> np.ndarray:
-    """Predictive variance at each candidate (noise floor included)."""
-    _, variances = model.predict_batch(xs)
+def score_variance(variances) -> np.ndarray:
+    """The learner's predictive variances (noise floor included), scored as they are."""
     return variances
 
 
@@ -96,20 +95,19 @@ def score_random(rng: np.random.Generator, active) -> int:
     return int(active[rng.integers(active.size)])
 
 
-def score_direct_mse(model, xs, surrogate_means) -> np.ndarray:
+def score_direct_mse(means, surrogate_means) -> np.ndarray:
     """(surrogate mean - predictor mean)^2 at each candidate; no surrogate variance."""
-    f_means, _ = model.predict_batch(xs)
-    return (surrogate_means - f_means) ** 2
+    return (surrogate_means - means) ** 2
 
 
 def score_upper_bound(
-    model,
-    xs,
+    means,
     surrogate_means,
     surrogate_latent,
     d_min,
     gradient_bound: float,
     confidence: float,
+    noise_variance: float,
 ) -> np.ndarray:
     """( B(x) + |surrogate mean - predictor mean| )^2 + sigma^2.
 
@@ -117,16 +115,16 @@ def score_upper_bound(
     where N is the number of candidates scored and d_min is the distance
     from x to the nearest labeled input. The first term is a
     high-probability GP credible width, the second covers what a
-    gradient-bounded function can do between observations. sigma^2 is the
-    model's noise variance, which the surrogate shares.
+    gradient-bounded function can do between observations; with L_f = 0
+    (a constant target) B is the credible width alone. sigma^2 is the
+    learner's noise variance, which the surrogate shares.
     """
     if gradient_bound is None or (isinstance(gradient_bound, str)):
         raise ValueError("gradient_bound must be resolved to a number before scoring")
-    f_means, _ = model.predict_batch(xs)
-    beta = 2.0 * math.log(f_means.size / confidence)
+    beta = 2.0 * math.log(means.size / confidence)
     width = math.sqrt(beta) * np.sqrt(np.clip(surrogate_latent, 0.0, None))
     bound = width + gradient_bound * d_min
-    return (bound + np.abs(surrogate_means - f_means)) ** 2 + model.noise_variance
+    return (bound + np.abs(surrogate_means - means)) ** 2 + noise_variance
 
 
 def select(active, scores) -> int:

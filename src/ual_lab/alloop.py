@@ -3,15 +3,15 @@
 One run works on indices into one candidate array and its label array. A
 selection loop picks the labeled order: starting from the initial
 candidate, it repeatedly scores the still-unlabeled candidates and takes
-the winner's label. The learner is fit from scratch, on the full labeled
-set, only before a step whose score reads it (``variance``,
-``direct_mse``, ``upper_bound``); a random run fits only in the curve
-pass. The surrogate GP of ``direct_mse`` and ``upper_bound`` is fit once
-on the initial point; its pool means and latent variances are then kept
-current by :class:`gpr.PoolPredictions` at O(nm) per label for a pool of
-m, and ``upper_bound``'s distance from each candidate to the nearest
-labeled one (the fill distance) by a running minimum of
-:func:`gpr.distances` at O(m).
+the winner's label. Before a step whose score reads the learner
+(``variance``, ``direct_mse``, ``upper_bound``) it is fit from scratch on
+the labeled set and predicts the unlabeled candidates once; the scores
+read those arrays. A random run fits only in the curve pass. The
+surrogate GP of ``direct_mse`` and ``upper_bound`` is fit once on the
+initial point; its pool means and latent variances are then kept current
+by :class:`gpr.PoolPredictions` at O(nm) per label for a pool of m, and
+``upper_bound``'s distance from each candidate to the nearest labeled one
+(the fill distance) by a running minimum of :func:`gpr.distances` at O(m).
 
 After the loop, the learner's ``curve`` predicts the test set from the
 fit on every prefix of the labeled order in one batched pass, and
@@ -173,7 +173,9 @@ def run_al(
     """Run ``budget`` acquisitions from ``candidates[init_index]`` and return the trace.
 
     ``learner`` is a :class:`BprLearner` or :class:`GprLearner`, fit in
-    place on the labeled points before each step whose score reads it.
+    place on the labeled points before each step whose score reads it; its
+    one ``predict_batch`` of that step, over the active candidates, gives
+    the means and variances the score takes, with its noise variance.
     ``candidates`` is the (n, d) pool and ``labels`` its (n,) outputs;
     every labeled point, the initial one included, is one of its rows.
     Once the order is picked, ``learner.curve`` predicts the test inputs
@@ -219,15 +221,15 @@ def run_al(
             chosen = acq.score_random(rng, indices)
         else:
             learner.fit(candidates[order[:step]], labels[order[:step]])
-            xs = candidates[indices]
+            means, variances = learner.predict_batch(candidates[indices])
             if strategy.kind == acq.VARIANCE:
-                scores = acq.score_variance(learner, xs)
+                scores = acq.score_variance(variances)
             elif strategy.kind == acq.DIRECT_MSE:
-                scores = acq.score_direct_mse(learner, xs, surrogate.means[indices])
+                scores = acq.score_direct_mse(means, surrogate.means[indices])
             else:
                 scores = acq.score_upper_bound(
-                    learner, xs, surrogate.means[indices], surrogate.latent[indices],
-                    d_min[indices], strategy.gradient_bound, strategy.confidence)
+                    means, surrogate.means[indices], surrogate.latent[indices], d_min[indices],
+                    strategy.gradient_bound, strategy.confidence, learner.noise_variance)
             chosen = acq.select(indices, scores)
         order[step] = chosen
         active[chosen] = False

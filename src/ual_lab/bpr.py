@@ -62,7 +62,7 @@ class BprPrior:
             raise ValueError(f"prior cov must be {k}x{k}")
         if not np.allclose(cov, cov.T, atol=1e-12):
             raise ValueError("prior cov must be symmetric")
-        lower = np.linalg.cholesky(cov)  # rejects non-PD covariance
+        lower = chol_spd(cov)  # NumericalError for a non-PD covariance
         if self.noise_variance <= 0:
             raise ValueError("noise_variance must be > 0")
         precision = chol_solve_vec(lower, np.eye(k))

@@ -20,24 +20,25 @@ def _fit_bpr(degree, xs, ys, noise=1.0):
     return BprLearner(degree, noise).fit(np.asarray(xs, float)[:, None], ys)
 
 
-def _direct(surrogate, model, xs):
-    """The direct_mse score with the surrogate's means predicted from scratch."""
-    means, _ = gp_predict_batch(surrogate, xs, include_noise=False)
-    return score_direct_mse(model, xs, means)
+def _direct(surrogate, means, xs):
+    """The direct_mse score of predictor ``means`` against the surrogate at ``xs``."""
+    g_means, _ = gp_predict_batch(surrogate, xs, include_noise=False)
+    return score_direct_mse(means, g_means)
 
 
-def _upper(surrogate, model, xs, labeled, gradient_bound, confidence):
+def _upper(surrogate, means, xs, labeled, gradient_bound, confidence, noise_variance):
     """The upper_bound score with the surrogate terms and distances computed from scratch."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    means, latent = gp_predict_batch(surrogate, xs, include_noise=False)
+    g_means, latent = gp_predict_batch(surrogate, xs, include_noise=False)
     d_min = cdist(xs, np.atleast_2d(labeled)).min(axis=1)
-    return score_upper_bound(model, xs, means, latent, d_min, gradient_bound, confidence)
+    return score_upper_bound(means, g_means, latent, d_min, gradient_bound, confidence,
+                             noise_variance)
 
 
 class TestVarianceScore:
     def test_prior_scores_grow_with_magnitude(self):
-        model = _fit_bpr(1, [], [])
-        scores = score_variance(model, np.array([[0.0], [1.0], [2.0]]))
+        _, variances = _fit_bpr(1, [], []).predict_batch(np.array([[0.0], [1.0], [2.0]]))
+        scores = score_variance(variances)
         np.testing.assert_allclose(scores, [2.0, 3.0, 6.0], atol=1e-12)
         assert select(np.arange(3), scores) == 2
 
@@ -45,15 +46,15 @@ class TestVarianceScore:
         # one point so far away that its covariance with the pool underflows
         # to zero: every pool variance is the prior's
         gp_model = GprLearner(KernelSpec("rbf"), 1.0).fit([[100.0]], [0.0])
-        scores = score_variance(gp_model, build_pool(5, -2, 2))
+        scores = score_variance(gp_model.predict_batch(build_pool(5, -2, 2))[1])
         np.testing.assert_array_equal(scores, 2.0)  # amplitude 1 plus noise 1
         assert select(np.arange(5), scores) == 0
 
     def test_observed_point_score_drops(self):
-        before = _fit_bpr(1, [], [])
-        after = _fit_bpr(1, [2.0], [1.0])
         x = np.array([[2.0]])
-        assert score_variance(after, x)[0] < score_variance(before, x)[0]
+        before = score_variance(_fit_bpr(1, [], []).predict_batch(x)[1])
+        after = score_variance(_fit_bpr(1, [2.0], [1.0]).predict_batch(x)[1])
+        assert after[0] < before[0]
 
 
 class TestRandomScore:
@@ -80,26 +81,19 @@ class TestRandomScore:
 class TestDirectMseScore:
     def test_squared_discrepancy(self):
         # surrogate mean x^2 vs predictor mean x at x=2 -> 4
-        rng = derive_rng(44, 0)
         xs = np.linspace(-2, 2, 40)
         surrogate = gp_fit(KernelSpec("rbf", lengthscale=0.5), xs[:, None], xs**2, 1e-8)
-        model = _fit_bpr(1, xs, xs, noise=1e-8)
+        x = np.array([[2.0]])
+        f_means, _ = _fit_bpr(1, xs, xs, noise=1e-8).predict_batch(x)
 
-        scores = _direct(surrogate, model, np.array([[2.0]]))
+        scores = _direct(surrogate, f_means, x)
         assert scores[0] == pytest.approx(4.0, abs=0.05)
 
     def test_identical_models_score_zero(self):
         xs = np.linspace(-2, 2, 30)
-
-        class Same:
-            noise_variance = 1.0
-
-            def predict_batch(self, qs):
-                return gp_predict_batch(surrogate, qs, include_noise=False)
-
         surrogate = gp_fit(KernelSpec("rbf"), xs[:, None], np.sin(xs), 0.5)
-        scores = _direct(surrogate, Same(), xs[:, None])
-        np.testing.assert_allclose(scores, 0.0, atol=1e-20)
+        means, _ = gp_predict_batch(surrogate, xs[:, None], include_noise=False)
+        np.testing.assert_array_equal(_direct(surrogate, means, xs[:, None]), 0.0)
 
     def test_argmax_matches_brute_force_residual_scan(self):
         # quadratic-plus-cosine target, linear predictor, 30 labeled points
@@ -110,10 +104,10 @@ class TestDirectMseScore:
         surrogate = gp_fit(KernelSpec("rbf", lengthscale=0.5), xs[:, None], ys, 0.01)
         model = _fit_bpr(1, xs, ys, noise=0.01)
         pool = build_pool(50, -2, 2)
-        scores = _direct(surrogate, model, pool)
+        scores = _direct(surrogate, model.predict_batch(pool)[0], pool)
         # brute force: evaluate the same discrepancy one candidate at a time
         brute = np.array([
-            _direct(surrogate, model, pool[i:i + 1])[0]
+            _direct(surrogate, model.predict_batch(pool[i:i + 1])[0], pool[i:i + 1])[0]
             for i in range(50)
         ])
         np.testing.assert_allclose(scores, brute, atol=1e-12)
@@ -126,49 +120,38 @@ class TestUpperBoundScore:
         ys = np.sin(xs)
         sig2 = 1e-12
         surrogate = gp_fit(KernelSpec("rbf", lengthscale=0.5), xs[:, None], ys, sig2)
-        model = _fit_bpr(1, xs, ys, noise=sig2)
         x = np.array([[xs[7]]])
-        score = _upper(surrogate, model, x, xs[:, None], 3.0, 0.05)[0]
-        g_mean = ys[7]
-        f_mean = model.predict_batch(x)[0][0]
-        assert score == pytest.approx((g_mean - f_mean) ** 2 + sig2, abs=1e-4)
+        f_means, _ = _fit_bpr(1, xs, ys, noise=sig2).predict_batch(x)
+        score = _upper(surrogate, f_means, x, xs[:, None], 3.0, 0.05, sig2)[0]
+        assert score == pytest.approx((ys[7] - f_means[0]) ** 2 + sig2, abs=1e-4)
 
     def test_degenerate_parameters_give_scaled_variance(self):
         # L_f = 0 and matching means: score = beta * latent var + sigma^2
         rng = derive_rng(46, 0)
         xs = rng.uniform(-2, 2, 10)
         surrogate = gp_fit(KernelSpec("rbf"), xs[:, None], np.zeros(10), 1.0)
-
-        class ZeroModel:
-            noise_variance = 1.0
-
-            def predict_batch(self, qs):
-                return gp_predict_batch(surrogate, qs, include_noise=False)
-
         qs = rng.uniform(-2, 2, (20, 1))
-        eps = 1e-9
-        scores = _upper(surrogate, ZeroModel(), qs, xs[:, None], eps, 0.05)
-        _, latent = gp_predict_batch(surrogate, qs, include_noise=False)
+        means, latent = gp_predict_batch(surrogate, qs, include_noise=False)
+        scores = _upper(surrogate, means, qs, xs[:, None], 0.0, 0.05, 1.0)
         beta = 2.0 * np.log(20 / 0.05)
-        np.testing.assert_allclose(scores, beta * latent + 1.0, rtol=1e-4)
+        np.testing.assert_allclose(scores, beta * latent + 1.0, rtol=1e-12)
 
     def test_dominates_squared_discrepancy_on_pool(self):
         rng = derive_rng(47, 0)
         xs = rng.uniform(-2, 2, 15)
         ys = xs**2 + rng.standard_normal(15)
         surrogate = gp_fit(KernelSpec("rbf", lengthscale=0.5), xs[:, None], ys, 1.0)
-        model = _fit_bpr(1, xs, ys)
         pool = build_pool(50, -2, 2)
-        upper = _upper(surrogate, model, pool, xs[:, None], 5.0, 0.05)
-        direct = _direct(surrogate, model, pool)
+        f_means, _ = _fit_bpr(1, xs, ys).predict_batch(pool)
+        upper = _upper(surrogate, f_means, pool, xs[:, None], 5.0, 0.05, 1.0)
+        direct = _direct(surrogate, f_means, pool)
         assert np.all(upper >= direct)
         assert np.all(upper >= 1.0)  # never below the noise floor
 
     def test_unresolved_auto_bound_rejected(self):
         surrogate = gp_fit(KernelSpec("rbf"), [[0.0]], [1.0], 1.0)
-        model = _fit_bpr(1, [0.0], [1.0])
-        with pytest.raises(ValueError):
-            _upper(surrogate, model, [[1.0]], [[0.0]], "auto", 0.05)
+        with pytest.raises(ValueError, match="resolved"):
+            _upper(surrogate, np.zeros(1), [[1.0]], [[0.0]], "auto", 0.05, 1.0)
 
 
 class TestSelect:
@@ -212,15 +195,15 @@ def test_perfect_surrogate_ranks_like_true_squared_error():
     surrogate = gp_fit(KernelSpec("rbf", lengthscale=0.5), xs[:, None], f, 1e-10)
     model = _fit_bpr(1, xs, f, noise=1.0)
     pool = build_pool(40, -1.9, 1.9)
-    scores = _direct(surrogate, model, pool)
     f_means, _ = model.predict_batch(pool)
+    scores = _direct(surrogate, f_means, pool)
     truth = (0.4 - 0.7 * pool[:, 0] + 0.9 * pool[:, 0] ** 2 - f_means) ** 2
     np.testing.assert_array_equal(np.argsort(scores), np.argsort(truth))
 
 
 def test_variance_strategy_prefers_endpoints_on_symmetric_pool():
-    model = _fit_bpr(1, [0.1], [0.5])
-    scores = score_variance(model, build_pool(21, -2, 2))
+    _, variances = _fit_bpr(1, [0.1], [0.5]).predict_batch(build_pool(21, -2, 2))
+    scores = score_variance(variances)
     chosen = select(np.arange(21), scores)
     assert chosen in (0, 20)
 
@@ -228,8 +211,10 @@ def test_variance_strategy_prefers_endpoints_on_symmetric_pool():
 def test_strategy_spec_validation():
     with pytest.raises(ValueError):
         StrategySpec("upper_bound")  # missing gradient bound
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=">= 0"):
         StrategySpec("upper_bound", gradient_bound=-1.0)
+    # the exact bound of a constant target
+    assert StrategySpec("upper_bound", gradient_bound=0.0).gradient_bound == 0.0
     with pytest.raises(ValueError):
         StrategySpec("upper_bound", gradient_bound=1.0, confidence=1.5)
     spec = StrategySpec("direct_mse")

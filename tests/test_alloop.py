@@ -126,15 +126,22 @@ def _refit_surrogate_choices(learner, strategy, labels, pool, init, budget):
         model = learner.fit(xs, ys)
         surrogate = gp_fit(strategy.surrogate_kernel, xs, ys, model.noise_variance)
         active = np.setdiff1d(np.arange(len(pool)), labeled)
+        f_means, _ = model.predict_batch(pool[active])
         means, latent = gp_predict_batch(surrogate, pool[active], include_noise=False)
         if strategy.kind == acq.DIRECT_MSE:
-            scores = acq.score_direct_mse(model, pool[active], means)
+            scores = acq.score_direct_mse(f_means, means)
         else:
-            scores = acq.score_upper_bound(model, pool[active], means, latent,
+            scores = acq.score_upper_bound(f_means, means, latent,
                                            cdist(pool[active], xs).min(axis=1),
-                                           strategy.gradient_bound, strategy.confidence)
+                                           strategy.gradient_bound, strategy.confidence,
+                                           model.noise_variance)
         labeled.append(acq.select(active, scores))
     return pool[labeled[1:]]
+
+
+def _unlabeled_rows(pool, labeled):
+    """The rows of ``pool`` that are not rows of ``labeled``, in pool order."""
+    return pool[~(pool[:, None] == labeled[None]).all(axis=2).any(axis=1)]
 
 
 def _dataset_shaped_run(seed, pool_n=150, test_n=100):
@@ -194,16 +201,17 @@ def test_running_distance_equals_nearest_labeled_distance(dim, monkeypatch):
     seen = []
     score = acq.score_upper_bound
 
-    def recording(model, xs, means, latent, d_min, *args, **kwargs):
-        seen.append((xs.copy(), d_min.copy()))
-        return score(model, xs, means, latent, d_min, *args, **kwargs)
+    def recording(means, surrogate_means, latent, d_min, *args):
+        seen.append(d_min.copy())
+        return score(means, surrogate_means, latent, d_min, *args)
 
     monkeypatch.setattr(acq, "score_upper_bound", recording)
     trace = run_al(learner, StrategySpec("upper_bound", gradient_bound=2.0), pool, labels,
                    init, test, 40, derive_rng(70, 6, 4))
     assert len(seen) == 40
-    for step, (xs, d_min) in enumerate(seen):
+    for step, d_min in enumerate(seen):
         labeled = np.vstack([pool[init:init + 1], trace.chosen_x[:step]])
+        xs = _unlabeled_rows(pool, labeled)
         np.testing.assert_array_equal(d_min, cdist(xs, labeled).min(axis=1))
 
 
@@ -346,10 +354,9 @@ def test_step_terms_match_test_set_predictions(degree, clean):
 
 
 def test_curve_replaces_the_per_step_test_predictions(monkeypatch):
-    # a random BPR run fits nothing before its curve, and a GP run predicts
-    # over the pool only: the test error comes from the curve's one pass
+    # a random BPR run fits nothing before its curve: the test error comes
+    # from the curve's one pass
     _, labels, pool, init, test = _setup(seed=10, pool_n=40, test_n=120)
-    budget = 20
     updates = []
     update = alloop.posterior_update
 
@@ -358,22 +365,39 @@ def test_curve_replaces_the_per_step_test_predictions(monkeypatch):
         return update(prior, xs, ys)
 
     monkeypatch.setattr(alloop, "posterior_update", counting_update)
-    run_al(BprLearner(3, 1.0), StrategySpec("random"), pool, labels, init, test, budget,
+    run_al(BprLearner(3, 1.0), StrategySpec("random"), pool, labels, init, test, 20,
            derive_rng(70, 10, 4))
     assert updates == []
 
+
+@pytest.mark.parametrize("kind", ["random", "variance", "direct_mse", "upper_bound"])
+@pytest.mark.parametrize("learner", [
+    pytest.param(lambda: BprLearner(3, 1.0), id="bpr"),
+    pytest.param(lambda: GprLearner(KernelSpec("matern52"), 1.0), id="gp"),
+])
+def test_each_model_step_predicts_its_active_candidates_once(learner, kind):
+    # the learner predicts n - 1, n - 2, ... active candidates, one call per
+    # model-based step, and never the test set; a random run predicts nothing
+    _, labels, pool, init, test = _setup(seed=10, pool_n=40, test_n=120)
+    budget = 20
+    model = learner()
     predicted = []
-    predict = alloop.gp_predict_batch
+    predict = model.predict_batch
 
-    def recording_predict(model, xs, include_noise=True):
-        predicted.append(np.atleast_2d(np.asarray(xs, dtype=float)).shape[0])
-        return predict(model, xs, include_noise)
+    def recording_predict(xs):
+        predicted.append(np.array(xs))
+        return predict(xs)
 
-    monkeypatch.setattr(alloop, "gp_predict_batch", recording_predict)
-    run_al(GprLearner(KernelSpec("matern52"), 1.0), StrategySpec("variance"), pool, labels,
-           init, test, budget, derive_rng(70, 10, 4))
-    # one pool prediction per step, shrinking with the active candidates
-    assert predicted == list(range(len(pool) - 1, len(pool) - 1 - budget, -1))
+    model.predict_batch = recording_predict
+    strategy = StrategySpec(kind, gradient_bound=2.0 if kind == "upper_bound" else None)
+    trace = run_al(model, strategy, pool, labels, init, test, budget, derive_rng(70, 10, 4))
+    if kind == "random":
+        assert predicted == []
+        return
+    assert [len(xs) for xs in predicted] == list(range(len(pool) - 1, len(pool) - 1 - budget, -1))
+    labeled = np.vstack([pool[init:init + 1], trace.chosen_x])
+    for step, xs in enumerate(predicted):
+        np.testing.assert_array_equal(xs, _unlabeled_rows(pool, labeled[:step + 1]))
 
 
 @pytest.mark.parametrize("learner", [

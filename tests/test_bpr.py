@@ -10,6 +10,7 @@ from ual_lab.bpr import (
     predictive_batch,
     prefix_posteriors,
 )
+from ual_lab.errors import NumericalError
 from ual_lab.rng import derive_rng
 
 
@@ -89,7 +90,7 @@ class TestPosteriorUpdate:
         assert not np.array_equal(zero.mean, noisy.mean)
 
     def test_rejects_non_spd_prior(self):
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(NumericalError, match="2x2"):
             BprPrior(1, np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 1.0)
 
     def test_high_degree_conditioning(self):

@@ -181,6 +181,17 @@ class TestRunExperiment:
             assert trace.chosen_x.shape == (0, 1)
             assert res.test_mse[0, 0, si, 0] == trace.test_mse[0]
 
+    def test_constant_target_runs_upper_bound_with_auto_gradient_bound(self):
+        # an order-0 target is constant: its exact gradient bound is 0, which
+        # leaves the credible width plus the discrepancy as the score
+        raw = _small_config(
+            target={"kind": "synthetic", "order": 0, "family": "pure-polynomial",
+                    "noise_variance": 1.0},
+            strategies=[{"kind": "upper_bound", "gradient_bound": "auto"}])
+        res = run_experiment(parse_config_dict(raw))
+        assert res.test_mse.shape == (3, 1, 1, 6)
+        assert np.all(np.isfinite(res.test_mse))
+
     def test_paired_step_zero_identical(self):
         cfg = parse_config_dict(_small_config())
         res = run_experiment(cfg)
