@@ -354,9 +354,10 @@ def test_step_terms_match_test_set_predictions(degree, clean):
 
 
 def test_curve_replaces_the_per_step_test_predictions(monkeypatch):
-    # a random BPR run fits nothing before its curve: the test error comes
-    # from the curve's one pass
+    # a random BPR run fits nothing before its curve, and a GP run predicts
+    # over the pool only: the test error comes from the curve's one pass
     _, labels, pool, init, test = _setup(seed=10, pool_n=40, test_n=120)
+    budget = 20
     updates = []
     update = alloop.posterior_update
 
@@ -365,9 +366,22 @@ def test_curve_replaces_the_per_step_test_predictions(monkeypatch):
         return update(prior, xs, ys)
 
     monkeypatch.setattr(alloop, "posterior_update", counting_update)
-    run_al(BprLearner(3, 1.0), StrategySpec("random"), pool, labels, init, test, 20,
+    run_al(BprLearner(3, 1.0), StrategySpec("random"), pool, labels, init, test, budget,
            derive_rng(70, 10, 4))
     assert updates == []
+
+    predicted = []
+    predict = alloop.gp_predict_batch
+
+    def recording_predict(model, xs, include_noise=True):
+        predicted.append(np.atleast_2d(np.asarray(xs, dtype=float)).shape[0])
+        return predict(model, xs, include_noise)
+
+    monkeypatch.setattr(alloop, "gp_predict_batch", recording_predict)
+    run_al(GprLearner(KernelSpec("matern52"), 1.0), StrategySpec("variance"), pool, labels,
+           init, test, budget, derive_rng(70, 10, 4))
+    # one pool prediction per step, shrinking with the active candidates
+    assert predicted == list(range(len(pool) - 1, len(pool) - 1 - budget, -1))
 
 
 @pytest.mark.parametrize("kind", ["random", "variance", "direct_mse", "upper_bound"])
@@ -375,11 +389,21 @@ def test_curve_replaces_the_per_step_test_predictions(monkeypatch):
     pytest.param(lambda: BprLearner(3, 1.0), id="bpr"),
     pytest.param(lambda: GprLearner(KernelSpec("matern52"), 1.0), id="gp"),
 ])
-def test_each_model_step_predicts_its_active_candidates_once(learner, kind):
+def test_each_model_step_predicts_its_active_candidates_once(learner, kind, monkeypatch):
     # the learner predicts n - 1, n - 2, ... active candidates, one call per
-    # model-based step, and never the test set; a random run predicts nothing
+    # model-based step, and never the test set; a random run predicts nothing.
+    # Every prediction in alloop goes through its two module bindings, so
+    # recording those also catches a test-set prediction outside the
+    # learner; the remedies' surrogate predicts the whole pool once
     _, labels, pool, init, test = _setup(seed=10, pool_n=40, test_n=120)
     budget = 20
+    rows = []
+    for name in ("gp_predict_batch", "predictive_batch"):
+        def recording(model, xs, *args, _predict=getattr(alloop, name), **kwargs):
+            rows.append(len(xs))
+            return _predict(model, xs, *args, **kwargs)
+
+        monkeypatch.setattr(alloop, name, recording)
     model = learner()
     predicted = []
     predict = model.predict_batch
@@ -392,9 +416,11 @@ def test_each_model_step_predicts_its_active_candidates_once(learner, kind):
     strategy = StrategySpec(kind, gradient_bound=2.0 if kind == "upper_bound" else None)
     trace = run_al(model, strategy, pool, labels, init, test, budget, derive_rng(70, 10, 4))
     if kind == "random":
-        assert predicted == []
+        assert predicted == rows == []
         return
-    assert [len(xs) for xs in predicted] == list(range(len(pool) - 1, len(pool) - 1 - budget, -1))
+    steps = list(range(len(pool) - 1, len(pool) - 1 - budget, -1))
+    assert [len(xs) for xs in predicted] == steps
+    assert rows == ([len(pool)] if kind in ("direct_mse", "upper_bound") else []) + steps
     labeled = np.vstack([pool[init:init + 1], trace.chosen_x])
     for step, xs in enumerate(predicted):
         np.testing.assert_array_equal(xs, _unlabeled_rows(pool, labeled[:step + 1]))
