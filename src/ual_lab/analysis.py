@@ -9,18 +9,18 @@ lower-order when its prior is the family's head block (the coordinates of
 1..x^p).
 
 Every closed form is evaluated on a grid ``xs`` for one set of training
-inputs: it builds the training and grid designs once and takes the
-posterior covariance from :func:`~ual_lab.bpr.posterior_update` (the
-covariance does not depend on the outputs) and the prior precision from the
-prior, then evaluates each term for all x at once as arrays. Products over
-the grid are row-local broadcast-and-sums, never matrix products, so each
-x's result is bit-for-bit independent of the rest of the grid. The expected
-squared error of the posterior-mean prediction (plus the posterior spread)
-has a nine-term closed form, which collapses to twice the predictive
-quadratic form when the model is matched, and to a six-term block
-expression when it is lower-order. Each identity is kept term-by-term,
-unsimplified: the tests' job is to confirm the algebra against a
-Monte-Carlo oracle, so no terms are merged ahead of time.
+inputs (n,); the nine-term MSE and the gap also take an (S, n) stack of
+sets. Each set gets its own BLAS/LAPACK calls: its designs' products and
+its posterior covariance from :func:`~ual_lab.bpr.posterior_update` (which
+does not depend on the outputs). Every term is then evaluated for all sets
+and x at once as row-local broadcast-and-sums, never matrix products, so
+each (set, x) result is bit-for-bit independent of the rest of the stack
+and grid. The expected squared error of the posterior-mean prediction (plus
+the posterior spread) has a nine-term closed form, which collapses to twice
+the predictive quadratic form when the model is matched, and to a six-term
+block expression when it is lower-order. Each identity is kept
+term-by-term, unsimplified: the tests' job is to confirm the algebra against
+a Monte-Carlo oracle, so no terms are merged ahead of time.
 """
 
 from __future__ import annotations
@@ -59,41 +59,55 @@ def _check_noise(family: BprPrior, prior: BprPrior) -> None:
 
 
 def _row_mat(rows, mat) -> np.ndarray:
-    """rows[i] @ mat for every row, as a broadcast sum that never mixes rows."""
-    return (rows[:, :, None] * mat[None]).sum(axis=1)
+    """rows[..., i, :] @ mat for every row (leading axes broadcast); never mixes rows."""
+    return (rows[..., :, None] * mat[..., None, :, :]).sum(axis=-2)
 
 
 def _row_dot(a, b) -> np.ndarray:
     return (a * b).sum(axis=-1)
 
 
+def _stack(inputs) -> np.ndarray:
+    """Training inputs as an (S, n) stack of sets; one set (n,) is a stack of one."""
+    inputs = np.asarray(inputs, dtype=float)
+    if inputs.ndim > 2:
+        raise ValueError("inputs must be one set (n,) or a stack of sets (S, n)")
+    return np.atleast_2d(inputs)
+
+
+def _posterior_covs(prior: BprPrior, inputs) -> np.ndarray:
+    """(S, k, k) posterior covariances of the stacked sets, one LAPACK pass per set."""
+    return np.array([posterior_update(prior, one, np.zeros(one.size)).cov
+                     for one in _stack(inputs)])
+
+
 def closed_form_mse_terms(xs, family: BprPrior, prior: BprPrior, inputs) -> np.ndarray:
     """The nine summands of the expected MSE at each x, in derivation order.
 
-    Returns a (len(xs), 9) array for training inputs ``inputs``.
+    Returns a (len(xs), 9) array for one set of training inputs ``inputs``
+    (n,), or (S, len(xs), 9) for an (S, n) stack of sets.
     """
     _check_noise(family, prior)
-    phi_full = design_matrix(inputs, family.degree)
-    phi_hat = design_matrix(inputs, prior.degree)
-
+    sets = _stack(inputs)
     sig2 = prior.noise_variance
     mu, sigma = family.mean, family.cov
-    mu_hat = prior.mean
-    post_cov = posterior_update(prior, inputs, np.zeros(np.size(inputs))).cov
-
-    second_moment = np.outer(mu, mu) + sigma            # E[w w^T]
-    shrink = prior.precision @ mu_hat                    # Sigma_hat^{-1} mu_hat
-    a_vec = post_cov @ shrink                            # Sigma_p Sigma_hat^{-1} mu_hat
-    cross = phi_hat.T @ phi_full                         # Phi_hat^T Phi
-    gram = phi_hat.T @ phi_hat                           # Phi_hat^T Phi_hat
+    # BLAS and LAPACK run once per set, so a set's bits do not depend on the stack
+    post_cov = _posterior_covs(prior, sets)              # Sigma_p
+    second_moment = np.outer(mu, mu) + sigma             # E[w w^T]
+    shrink = prior.precision @ prior.mean                # Sigma_hat^{-1} mu_hat
+    a_vec = np.array([cov @ shrink for cov in post_cov])  # Sigma_p Sigma_hat^{-1} mu_hat
+    phi_hats = [design_matrix(one, prior.degree) for one in sets]
+    cross = np.array([h.T @ design_matrix(one, family.degree)   # Phi_hat^T Phi
+                      for h, one in zip(phi_hats, sets)])
+    gram = np.array([h.T @ h for h in phi_hats])         # Phi_hat^T Phi_hat
 
     phi_l = design_matrix(xs, family.degree)             # one row per grid point
     phi_p = design_matrix(xs, prior.degree)
     sp_phi = _row_mat(phi_p, post_cov)                   # Sigma_p phi^p (Sigma_p symmetric)
     b_vec = _row_mat(sp_phi, cross)                      # Phi^T Phi_hat Sigma_p phi^p
     b_m = _row_mat(b_vec, second_moment)
-    a_phi, b_mu = _row_dot(phi_p, a_vec), _row_dot(b_vec, mu)
-    return np.stack([
+    a_phi, b_mu = _row_dot(phi_p, a_vec[:, None]), _row_dot(b_vec, mu)
+    terms = np.broadcast_arrays(
         _row_dot(_row_mat(phi_l, second_moment), phi_l),
         -2.0 * a_phi * _row_dot(phi_l, mu),
         -(2.0 / sig2) * _row_dot(b_m, phi_l),
@@ -103,12 +117,14 @@ def closed_form_mse_terms(xs, family: BprPrior, prior: BprPrior, inputs) -> np.n
         (1.0 / sig2**2) * _row_dot(b_m, b_vec),
         (1.0 / sig2) * _row_dot(_row_mat(sp_phi, gram), sp_phi),
         _row_dot(phi_p, sp_phi),
-    ], axis=1)
+    )
+    terms = np.stack(terms, axis=-1)
+    return terms if np.ndim(inputs) == 2 else terms[0]
 
 
 def closed_form_mse(xs, family: BprPrior, prior: BprPrior, inputs) -> np.ndarray:
-    """Expected MSE at each x: the sum of the nine closed-form terms."""
-    return closed_form_mse_terms(xs, family, prior, inputs).sum(axis=1)
+    """Expected MSE at each x: the sum of the nine closed-form terms, per set."""
+    return closed_form_mse_terms(xs, family, prior, inputs).sum(axis=-1)
 
 
 def matched_mse(xs, post: BprPosterior) -> np.ndarray:
@@ -161,13 +177,15 @@ def lower_order_mse(xs, family: BprPrior, prior: BprPrior, inputs
 
 
 def variance_proxy_gap(xs, family: BprPrior, prior: BprPrior, inputs) -> np.ndarray:
-    """|closed-form MSE - matched-model MSE| at each x.
+    """|closed-form MSE - matched-model MSE| at each x, per set of ``inputs``.
 
     Zero (to rounding) exactly when the model matches the family; strictly
     positive at generic x for lower-order models.
     """
-    post = posterior_update(prior, inputs, np.zeros(np.size(inputs)))
-    return np.abs(closed_form_mse(xs, family, prior, inputs) - matched_mse(xs, post))
+    mse = closed_form_mse(xs, family, prior, inputs)
+    phis = design_matrix(xs, prior.degree)
+    spread = _row_dot(_row_mat(phis, _posterior_covs(prior, inputs)), phis)
+    return np.abs(mse - 2.0 * spread.reshape(mse.shape))
 
 
 @dataclass(frozen=True)

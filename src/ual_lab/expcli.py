@@ -148,24 +148,25 @@ def _seed_runs(cfg: ExperimentConfig, seed: int,
     return runs
 
 
-def _seed_discrepancy(cfg: ExperimentConfig, seed: int) -> np.ndarray:
-    """Gap |closed-form MSE - 2*spread| per (model, grid point) for one seed."""
+def _discrepancy(cfg: ExperimentConfig) -> np.ndarray:
+    """Gap |closed-form MSE - 2*spread| per (seed, model, grid point).
+
+    Each seed's training inputs come from its own stream; every model's
+    gaps over the whole stack of seeds are one call.
+    """
     t = cfg.target
-    rng = derive_rng(cfg.master_seed, seed, 0)
-    inputs = rng.uniform(cfg.grid.lo, cfg.grid.hi, cfg.n_train)
+    inputs = np.array([derive_rng(cfg.master_seed, seed, 0).uniform(
+        cfg.grid.lo, cfg.grid.hi, cfg.n_train) for seed in range(cfg.n_seeds)])
     family = default_prior(t.order, t.noise_variance)
     xs = np.linspace(cfg.grid.lo, cfg.grid.hi, cfg.grid.n)
-    return np.array([
+    return np.stack([
         variance_proxy_gap(xs, family, default_prior(m.degree, t.noise_variance), inputs)
         for m in cfg.models
-    ])
+    ], axis=1)
 
 
 def _seed_worker(args):
-    cfg, seed, data = args
-    if cfg.kind == "discrepancy":
-        return _seed_discrepancy(cfg, seed)
-    return _seed_runs(cfg, seed, data)
+    return _seed_runs(*args)
 
 
 def run_experiment(cfg: ExperimentConfig) -> AggregateResults:
@@ -175,16 +176,21 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateResults:
     whose results come back in seed order; BLAS runs on one thread in this
     process (the caller's counts are restored) and in each worker, which
     sets its own whatever the start method, so outputs depend on neither
-    the pool size nor the cores. A dataset target's file is loaded once,
-    here, and the rows it dropped are counted in ``runtime``.
+    the pool size nor the cores. A discrepancy run is one stacked pass per
+    model, in this process, whatever ``cfg.parallelism`` says. A dataset
+    target's file is loaded once, here, and the rows it dropped are counted
+    in ``runtime``.
     """
     dataset = isinstance(cfg.target, DatasetTargetSpec)
     data = load_csv(cfg.target.path, cfg.target.schema) if dataset else None
     payloads = [(cfg, seed, data) for seed in range(cfg.n_seeds)]
     cores = len(os.sched_getaffinity(0))
-    workers = min(cfg.parallelism, cores, cfg.n_seeds)
+    discrepancy = cfg.kind == "discrepancy"
+    workers = 1 if discrepancy else min(cfg.parallelism, cores, cfg.n_seeds)
     with one_blas_thread() as openblas:
-        if workers > 1:
+        if discrepancy:
+            per_seed = _discrepancy(cfg)
+        elif workers > 1:
             with ProcessPoolExecutor(workers, initializer=set_one_blas_thread) as pool:
                 per_seed = list(pool.map(_seed_worker, payloads))
         else:
@@ -194,8 +200,8 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateResults:
     if dataset:
         runtime["dropped_rows"] = data.dropped_rows
 
-    if cfg.kind == "discrepancy":
-        return AggregateResults(gaps=np.stack(per_seed).mean(axis=0), runtime=runtime)
+    if discrepancy:
+        return AggregateResults(gaps=per_seed.mean(axis=0), runtime=runtime)
     test_mse = np.array([[[runs[m][s].test_mse for s in cfg.strategy_ids]
                           for m in cfg.model_ids] for runs in per_seed])
     return AggregateResults(per_seed, test_mse, runtime=runtime)
@@ -205,16 +211,13 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateResults:
 # emission
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def emit(results: AggregateResults, out_dir: str | Path, cfg: ExperimentConfig,
          wall_time_s: float = 0.0) -> list[Path]:
     """Write traces.csv, summary.csv, meta.json, and one SVG per model."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
+    exp_id = cfg.experiment_id
 
     def write(name: str, text: str) -> None:
         path = out / name
@@ -226,31 +229,29 @@ def emit(results: AggregateResults, out_dir: str | Path, cfg: ExperimentConfig,
         xs = np.linspace(cfg.grid.lo, cfg.grid.hi, cfg.grid.n)
         lines = [DISCREPANCY_HEADER]
         for model_id, gaps in zip(cfg.model_ids, results.gaps):
-            lines.extend(
-                f"{cfg.experiment_id},{model_id},{_fmt(x)},{_fmt(g)}"
-                for x, g in zip(xs, gaps)
-            )
+            lines.extend(f"{exp_id},{model_id},{x:.17g},{g:.17g}"
+                         for x, g in zip(xs.tolist(), gaps.tolist()))
         write("discrepancy.csv", "\n".join(lines) + "\n")
         series = [Series(model_id, xs, gaps)
                   for model_id, gaps in zip(cfg.model_ids, results.gaps)]
         write("discrepancy.svg", line_chart(
-            f"{cfg.experiment_id}: variance-proxy gap", "x", "|MSE - 2*spread|", series))
+            f"{exp_id}: variance-proxy gap", "x", "|MSE - 2*spread|", series))
     else:
         trace_lines = [TRACES_HEADER]
         for seed, runs in enumerate(results.runs):
             for model_id in cfg.model_ids:
                 for strategy_id in cfg.strategy_ids:
                     trace = runs[model_id][strategy_id]
-                    for step, mse in enumerate(trace.test_mse):
-                        # step 0 acquires nothing; n_labeled counts the initial point
-                        chosen = ";".join(map(_fmt, trace.chosen_x[step - 1])) if step else ""
-                        bias = "" if trace.bias is None else _fmt(trace.bias[step])
-                        var = "" if trace.variance is None else _fmt(trace.variance[step])
-                        trace_lines.append(
-                            f"{cfg.experiment_id},{seed},{model_id},{strategy_id},"
-                            f"{step},{step + 1},{chosen},"
-                            f"{_fmt(mse)},{bias},{var}"
-                        )
+                    # step 0 acquires nothing; n_labeled counts the initial point
+                    chosen = [""] + [";".join(f"{c:.17g}" for c in row)
+                                     for row in trace.chosen_x.tolist()]
+                    split = [","] * len(chosen) if trace.bias is None else [
+                        f"{b:.17g},{v:.17g}"
+                        for b, v in zip(trace.bias.tolist(), trace.variance.tolist())]
+                    trace_lines.extend(
+                        f"{exp_id},{seed},{model_id},{strategy_id},{step},{step + 1},"
+                        f"{chosen[step]},{mse:.17g},{split[step]}"
+                        for step, mse in enumerate(trace.test_mse.tolist()))
         write("traces.csv", "\n".join(trace_lines) + "\n")
 
         means, stds = results.test_mse.mean(axis=0), results.test_mse.std(axis=0)
@@ -258,10 +259,10 @@ def emit(results: AggregateResults, out_dir: str | Path, cfg: ExperimentConfig,
         for mi, model_id in enumerate(cfg.model_ids):
             for si, strategy_id in enumerate(cfg.strategy_ids):
                 summary_lines.extend(
-                    f"{cfg.experiment_id},{model_id},{strategy_id},{step},"
-                    f"{_fmt(mean)},{_fmt(std)},{cfg.n_seeds}"
-                    for step, (mean, std) in enumerate(zip(means[mi, si], stds[mi, si]))
-                )
+                    f"{exp_id},{model_id},{strategy_id},{step},{mean:.17g},{std:.17g},"
+                    f"{cfg.n_seeds}"
+                    for step, (mean, std) in enumerate(zip(means[mi, si].tolist(),
+                                                           stds[mi, si].tolist())))
         write("summary.csv", "\n".join(summary_lines) + "\n")
 
         steps = np.arange(cfg.budget + 1)
@@ -270,7 +271,7 @@ def emit(results: AggregateResults, out_dir: str | Path, cfg: ExperimentConfig,
                              band_high=mean + std)
                       for strategy_id, mean, std in zip(cfg.strategy_ids, means[mi], stds[mi])]
             write(f"curves_{model_id}.svg", line_chart(
-                f"{cfg.experiment_id}: {model_id}", "acquisitions", "mean test MSE", series))
+                f"{exp_id}: {model_id}", "acquisitions", "mean test MSE", series))
 
     meta = {
         "artifact_version": __version__,

@@ -335,6 +335,46 @@ class TestVarianceProxyGap:
                                                                            rel=1e-8)
 
 
+_STACKED = (closed_form_mse_terms, closed_form_mse, variance_proxy_gap)
+
+
+class TestStackOfTrainingSets:
+    # An (S, n) stack of training sets gives, per set, the bits of that set
+    # alone: BLAS and LAPACK run once per set, and the grid sums never mix sets.
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n_sets", [1, 3])
+    def test_stack_equals_single_calls(self, l, n_sets):
+        rng = derive_rng(67, l, n_sets)
+        fam = _random_family(rng, l, noise=0.7)
+        grid = np.linspace(-2, 2, 23)
+        sets = rng.uniform(-2, 2, (n_sets, 9))
+        for p in range(l + 1):
+            prior = _head_prior(fam, p)
+            for fn in _STACKED:
+                stacked = fn(grid, fam, prior, sets)
+                single = np.array([fn(grid, fam, prior, one) for one in sets])
+                assert stacked.shape == single.shape
+                np.testing.assert_array_equal(stacked, single)
+
+    def test_one_set_keeps_its_shapes(self):
+        rng = derive_rng(68, 0)
+        fam, grid, inputs = _random_family(rng, 3), np.linspace(-2, 2, 11), rng.uniform(-2, 2, 8)
+        prior = _head_prior(fam, 1)
+        assert closed_form_mse_terms(grid, fam, prior, inputs).shape == (11, 9)
+        assert closed_form_mse(grid, fam, prior, inputs).shape == (11,)
+        assert variance_proxy_gap(grid, fam, prior, inputs).shape == (11,)
+        assert closed_form_mse_terms(grid, fam, prior, inputs[None]).shape == (1, 11, 9)
+        assert variance_proxy_gap(grid, fam, prior, inputs[None]).shape == (1, 11)
+
+    def test_three_dimensional_inputs_raise(self):
+        fam = default_prior(2, 1.0)
+        cube = np.zeros((2, 3, 4))
+        for fn in _STACKED:
+            with pytest.raises(ValueError, match="stack of sets"):
+                fn([0.0, 1.0], fam, fam, cube)
+
+
 class TestBiasBoundCheck:
     def test_identical_densities(self):
         rep = bias_bound_check(0.0, 1.0, 0.0, 1.0, 8.0)

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from ual_lab import expcli, linalg
+from ual_lab.analysis import variance_proxy_gap
+from ual_lab.bpr import default_prior
 from ual_lab.errors import ConfigError, NumericalError
 from ual_lab.expcli import (
     SUMMARY_HEADER,
@@ -22,6 +24,7 @@ from ual_lab.expcli import (
     run_experiment,
     shipped_experiments,
 )
+from ual_lab.rng import derive_rng
 
 
 def _small_config(**overrides):
@@ -300,7 +303,30 @@ def _discrepancy_config(**overrides):
     return raw
 
 
+def _per_seed_gaps(cfg):
+    """The mean gap by the per-seed loop: one gap call per (seed, model)."""
+    t = cfg.target
+    family = default_prior(t.order, t.noise_variance)
+    xs = np.linspace(cfg.grid.lo, cfg.grid.hi, cfg.grid.n)
+    per_seed = []
+    for seed in range(cfg.n_seeds):
+        inputs = derive_rng(cfg.master_seed, seed, 0).uniform(cfg.grid.lo, cfg.grid.hi,
+                                                               cfg.n_train)
+        per_seed.append([variance_proxy_gap(xs, family, default_prior(m.degree, t.noise_variance),
+                                            inputs) for m in cfg.models])
+    return np.stack(per_seed).mean(axis=0)
+
+
 class TestDiscrepancyKind:
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_stacked_pass_equals_per_seed_loop(self, parallelism):
+        models = [{"kind": "bpr", "degree": d} for d in (1, 2, 3, 4, 5)]
+        cfg = parse_config_dict(_discrepancy_config(models=models, parallelism=parallelism))
+        res = run_experiment(cfg)
+        np.testing.assert_array_equal(res.gaps, _per_seed_gaps(cfg))
+        # the stacked pass runs in this process, whatever the config asks for
+        assert res.runtime["workers"] == 1
+
     def test_runs_and_emits(self, tmp_path):
         cfg = parse_config_dict(_discrepancy_config())
         res = run_experiment(cfg)
