@@ -97,14 +97,6 @@ class SyntheticOracle:
         return float(clean + self._sigma * eps)
 
 
-def _univariate(xs) -> np.ndarray:
-    """The one coordinate of row-stacked inputs, which polynomial models need."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    if xs.shape[1] != 1:
-        raise ValueError("polynomial models are univariate")
-    return xs[:, 0]
-
-
 class BprLearner:
     """A conjugate polynomial posterior (default prior), refit from scratch by each fit."""
 
@@ -114,12 +106,12 @@ class BprLearner:
         self.posterior = None
 
     def fit(self, xs, ys) -> "BprLearner":
-        self.posterior = posterior_update(self.prior, _univariate(xs), ys)
+        self.posterior = posterior_update(self.prior, xs, ys)
         return self
 
     def predict_batch(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Predictive means and variances, noise floor included."""
-        return predictive_batch(self.posterior, _univariate(xs))
+        return predictive_batch(self.posterior, xs)
 
     def curve(self, xs, ys, inputs) -> tuple[np.ndarray, np.ndarray]:
         """(means, spread) at fixed test inputs of the fit on every prefix of (xs, ys).
@@ -128,8 +120,8 @@ class BprLearner:
         design Phi built once, the means are Phi m_t and the spread, the
         mean latent variance, tr(S_t G) with G = Phi^T Phi / N.
         """
-        means, covs = prefix_posteriors(self.prior, _univariate(xs), ys)
-        phi = design_matrix(_univariate(inputs), self.prior.degree)
+        means, covs = prefix_posteriors(self.prior, xs, ys)
+        phi = design_matrix(inputs, self.prior.degree)
         return means @ phi.T, np.einsum("tij,ij->t", covs, phi.T @ phi / len(phi))
 
 

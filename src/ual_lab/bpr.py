@@ -34,9 +34,14 @@ def feature_map(x: float, degree: int) -> np.ndarray:
 
 
 def design_matrix(xs, degree: int) -> np.ndarray:
-    """Rows of phi(x_i, p) for a vector of inputs; shape (n, p+1)."""
-    xs = np.asarray(xs, dtype=float).reshape(-1)
-    return np.vander(xs, degree + 1, increasing=True)
+    """Rows of phi(x_i, p) for inputs (n,) or (n, 1); shape (n, p+1).
+
+    Polynomial models are univariate: a 2-D input with more columns raises.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim == 2 and xs.shape[1] != 1:
+        raise ValueError("polynomial models are univariate")
+    return np.vander(xs.reshape(-1), degree + 1, increasing=True)
 
 
 @dataclass(frozen=True)
@@ -96,12 +101,11 @@ def posterior_update(prior: BprPrior, xs, ys) -> BprPosterior:
     Solved via Cholesky of the posterior precision and symmetrized; the
     precision matrix is never inverted naively.
     """
-    xs = np.asarray(xs, dtype=float).reshape(-1)
-    ys = np.asarray(ys, dtype=float).reshape(-1)
-    if xs.shape != ys.shape:
-        raise ValueError("xs and ys must have equal length")
     phi = design_matrix(xs, prior.degree)
-    if xs.size == 0:
+    ys = np.asarray(ys, dtype=float).reshape(-1)
+    if len(phi) != ys.size:
+        raise ValueError("xs and ys must have equal length")
+    if ys.size == 0:
         return BprPosterior(prior.degree, prior.mean.copy(), prior.cov.copy(),
                             prior.noise_variance)
     precision = prior.precision + (phi.T @ phi) / prior.noise_variance
@@ -122,13 +126,12 @@ def prefix_posteriors(prior: BprPrior, xs, ys) -> tuple[np.ndarray, np.ndarray]:
     solve of [I | rhs] give every prefix. A non-finite label raises
     ``ValueError``, as the Cholesky solve does there.
     """
-    xs = np.asarray(xs, dtype=float).reshape(-1)
+    phi = design_matrix(xs, prior.degree)
     ys = np.asarray(ys, dtype=float).reshape(-1)
-    if xs.shape != ys.shape:
+    if len(phi) != ys.size:
         raise ValueError("xs and ys must have equal length")
     if not np.isfinite(ys).all():
         raise ValueError(f"label {ys[~np.isfinite(ys)][0]} is not finite")
-    phi = design_matrix(xs, prior.degree)
     n, k = phi.shape
     nv = prior.noise_variance
     precisions = prior.precision + np.cumsum(phi[:, :, None] * phi[:, None, :], axis=0) / nv

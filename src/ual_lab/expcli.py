@@ -43,7 +43,7 @@ from .config import (
 )
 from .datasets import TabularDataset, load_csv, split, standardized
 from .errors import ConfigError, UalLabError
-from .linalg import one_blas_thread, set_one_blas_thread
+from .linalg import one_blas_thread
 from .rng import derive_rng
 from .svg import Series, line_chart
 from .synthetic import TestSet, build_pool, build_test_set, gradient_bound, sample_target
@@ -166,7 +166,8 @@ def _discrepancy(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def _seed_worker(args):
-    return _seed_runs(*args)
+    with one_blas_thread():  # a spawned worker inherits no thread count
+        return _seed_runs(*args)
 
 
 def run_experiment(cfg: ExperimentConfig) -> AggregateResults:
@@ -174,7 +175,7 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateResults:
 
     Seeds fan out to min(``cfg.parallelism``, cores, seeds) worker processes,
     whose results come back in seed order; BLAS runs on one thread in this
-    process (the caller's counts are restored) and in each worker, which
+    process (the caller's counts are restored) and in each seed task, which
     sets its own whatever the start method, so outputs depend on neither
     the pool size nor the cores. A discrepancy run is one stacked pass per
     model, in this process, whatever ``cfg.parallelism`` says. A dataset
@@ -191,7 +192,7 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateResults:
         if discrepancy:
             per_seed = _discrepancy(cfg)
         elif workers > 1:
-            with ProcessPoolExecutor(workers, initializer=set_one_blas_thread) as pool:
+            with ProcessPoolExecutor(workers) as pool:
                 per_seed = list(pool.map(_seed_worker, payloads))
         else:
             per_seed = [_seed_worker(p) for p in payloads]

@@ -6,8 +6,8 @@ scipy's serves the LAPACK routines ``dtrtrs`` and ``dpotrs``, called in
 scipy's f2py LAPACK module ``_flapack``, which is loaded from its file on
 its own: the scipy.linalg package around it loads some 250 more modules.
 On matrices this small (k <= 6 for BPR, a few hundred rows for a GP) extra
-threads only spin. A pool worker sets its own count
-(``set_one_blas_thread``): a spawned one inherits none.
+threads only spin, so work runs inside ``one_blas_thread``; a pool worker
+enters it itself, since a spawned one inherits no count.
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import NumericalError
 
-__all__ = ["chol_spd", "chol_solve_vec", "solve_lower", "one_blas_thread",
-           "set_one_blas_thread"]
+__all__ = ["chol_spd", "chol_solve_vec", "solve_lower", "one_blas_thread"]
 
 _FLAPACK = "scipy.linalg._flapack"
 
@@ -152,11 +151,3 @@ def one_blas_thread():
     finally:
         for put, before in restore:
             put(before)
-
-
-def set_one_blas_thread() -> None:
-    """A pool worker's initializer: each OpenBLAS copy found on one thread, for good.
-    ``one_blas_thread`` records a copy not found."""
-    for module, suffix in _OPENBLAS:
-        with suppress(ImportError, OSError, AttributeError):
-            _openblas(module, suffix)[2](1)

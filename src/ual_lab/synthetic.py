@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 __all__ = [
     "PURE_POLYNOMIAL",
@@ -100,7 +99,7 @@ def sample_target(
 def eval_target(target: GroundTruthTarget, x) -> np.ndarray | float:
     """Noiseless f(x); accepts a scalar or an array of inputs."""
     x_arr = np.asarray(x, dtype=float)
-    value = npoly.polyval(x_arr, target.coefficients)
+    value = np.polyval(target.coefficients[::-1], x_arr)
     if target.cosine_amplitude != 0.0:
         value = value + target.cosine_amplitude * np.cos(
             2.0 * math.pi * target.cosine_frequency * x_arr

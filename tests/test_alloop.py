@@ -68,6 +68,13 @@ class TestRunAl:
             run_al(BprLearner(1, 1.0), StrategySpec("random"), pool, np.zeros(shape),
                    init, test, 1, derive_rng(70, 0, 6))
 
+    @pytest.mark.parametrize("kind", ["variance", "random"])
+    def test_polynomial_learner_rejects_a_two_column_pool(self, kind):
+        _, labels, pool, init, test = _setup()
+        with pytest.raises(ValueError, match="univariate"):
+            run_al(BprLearner(2, 1.0), StrategySpec(kind), np.hstack([pool, pool]), labels,
+                   init, test, 3, derive_rng(70, 0, 6))
+
     def test_full_pool_exhaustion_is_order_independent(self):
         # every strategy ends with the same labeled set, so the same model
         _, labels, pool, init, test = _setup(pool_n=12)

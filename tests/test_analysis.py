@@ -334,6 +334,21 @@ class TestVarianceProxyGap:
         assert variance_proxy_gap(xs, fam, prior, inputs) == pytest.approx(np.abs(p_term),
                                                                            rel=1e-8)
 
+    @pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("shape", [(9,), (3, 9)], ids=["one set", "stack of 3"])
+    def test_gap_is_read_off_the_nine_terms(self, l, shape):
+        # the last term is the spread phi^T Sigma_p phi, summed as the gap sums
+        # it, so one closed-form pass holds everything the gap needs
+        rng = derive_rng(69, l, len(shape))
+        fam = _random_family(rng, l, noise=0.7)   # non-zero means
+        grid = np.linspace(-2, 2, 23)
+        inputs = rng.uniform(-2, 2, shape)
+        for p in range(l + 1):
+            prior = _head_prior(fam, p)
+            terms = closed_form_mse_terms(grid, fam, prior, inputs)
+            np.testing.assert_array_equal(variance_proxy_gap(grid, fam, prior, inputs),
+                                          np.abs(terms.sum(-1) - 2 * terms[..., 8]))
+
 
 _STACKED = (closed_form_mse_terms, closed_form_mse, variance_proxy_gap)
 

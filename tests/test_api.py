@@ -1,6 +1,7 @@
 """Every name a ual_lab module exports through ``__all__`` resolves, the
 package runs its LAPACK calls without loading the scipy.linalg or
-scipy.spatial packages, and the CLI loads no XML, network or mail module."""
+scipy.spatial packages, and the CLI loads no XML, network, mail or
+numpy.polynomial module."""
 
 import importlib
 import os
@@ -58,5 +59,15 @@ def test_cli_loads_no_xml_network_or_mail_module():
 import sys
 import ual_lab.expcli
 print(sorted(m for m in sys.modules if m.split(".")[0] in ("xml", "ssl", "http", "email")))
+"""
+    assert _fresh_stdout(code).split() == ["[]"]
+
+
+def test_cli_loads_no_numpy_polynomial_module():
+    # targets are evaluated with numpy core's np.polyval
+    code = """
+import sys
+import ual_lab.expcli
+print(sorted(m for m in sys.modules if m.startswith("numpy.polynomial")))
 """
     assert _fresh_stdout(code).split() == ["[]"]

@@ -29,6 +29,16 @@ class TestFeatureMap:
         np.testing.assert_allclose(design_matrix(xs, 2),
                                    [feature_map(0.5, 2), feature_map(-1.0, 2)])
 
+    def test_design_matrix_takes_one_column(self):
+        np.testing.assert_array_equal(design_matrix(np.array([[0.5], [-1.0]]), 2),
+                                      design_matrix([0.5, -1.0], 2))
+        prior = default_prior(1, 1.0)
+        for call in (lambda: design_matrix(np.ones((3, 2)), 1),
+                     lambda: posterior_update(prior, np.ones((3, 2)), np.ones(6)),
+                     lambda: prefix_posteriors(prior, np.ones((3, 2)), np.ones(6))):
+            with pytest.raises(ValueError, match="univariate"):
+                call()
+
 
 class TestPosteriorUpdate:
     def test_empty_data_returns_prior(self):

@@ -545,13 +545,31 @@ def _set_blas_threads(counts: list) -> None:
         put(n)
 
 
+def _counts_in_a_seed_task(cfg) -> list:
+    """The BLAS thread counts each ``run_al`` call of seed 0's task sees, in
+    this process, which starts the task on 3 threads."""
+    _set_blas_threads([3, 3])
+    seen, run_al = [], expcli.run_al
+
+    def logged_run_al(*args):
+        seen.append(_blas_threads())
+        return run_al(*args)
+
+    expcli.run_al = logged_run_al
+    try:
+        expcli._seed_worker((cfg, 0, None))
+    finally:
+        expcli.run_al = run_al
+    return seen
+
+
 class _SerialPool:
     """Stands in for the process pool: records its size, maps in this process."""
 
     sizes: list = []  # each test patches in its own list
     initializers: list = []
 
-    def __init__(self, max_workers, initializer):
+    def __init__(self, max_workers, initializer=None):
         self.sizes.append(max_workers)
         self.initializers.append(initializer)
 
@@ -620,15 +638,16 @@ class TestBlasThreads:
 
     def test_workers_set_one_thread_whatever_the_start_method(self, monkeypatch):
         # a spawned worker inherits no thread count from its parent
+        cfg = parse_config_dict(_small_config(n_seeds=2, budget=2, parallelism=2))
         spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(1, mp_context=spawn,
-                                 initializer=linalg.set_one_blas_thread) as pool:
-            assert pool.submit(_blas_threads).result(timeout=120) == [1, 1]
+        with ProcessPoolExecutor(1, mp_context=spawn) as pool:
+            seen = pool.submit(_counts_in_a_seed_task, cfg).result(timeout=120)
+        assert seen == [[1, 1]] * len(cfg.strategy_ids)
         monkeypatch.setattr(_SerialPool, "initializers", [])
         monkeypatch.setattr(expcli, "ProcessPoolExecutor", _SerialPool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        run_experiment(parse_config_dict(_small_config(n_seeds=2, budget=2, parallelism=2)))
-        assert _SerialPool.initializers == [linalg.set_one_blas_thread]
+        run_experiment(cfg)
+        assert _SerialPool.initializers == [None]
 
     def test_meta_records_the_blas_setup(self, tmp_path, caller_threads):
         cfg = parse_config_dict(_small_config(n_seeds=1, budget=2))
