@@ -36,7 +36,7 @@ __all__ = [
     "score_direct_mse",
     "score_upper_bound",
     "select",
-    "default_surrogate_kernel",
+    "DEFAULT_SURROGATE_KERNEL",
 ]
 
 VARIANCE = "variance"
@@ -47,9 +47,10 @@ UPPER_BOUND = "upper_bound"
 STRATEGY_KINDS = (VARIANCE, RANDOM, DIRECT_MSE, UPPER_BOUND)
 
 
-def default_surrogate_kernel() -> KernelSpec:
-    # lengthscale 0.5 resolves one-cycle-per-unit wiggles on [-2, 2]
-    return KernelSpec("rbf", amplitude=1.0, lengthscale=0.5)
+# the surrogate a strategy gets when its config names none; lengthscale 0.5
+# resolves one-cycle-per-unit wiggles on [-2, 2]. KernelSpec is frozen, so
+# every StrategySpec can share this one instance.
+DEFAULT_SURROGATE_KERNEL = KernelSpec("rbf", amplitude=1.0, lengthscale=0.5)
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ class StrategySpec:
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if self.kind in (DIRECT_MSE, UPPER_BOUND) and self.surrogate_kernel is None:
-            object.__setattr__(self, "surrogate_kernel", default_surrogate_kernel())
+            object.__setattr__(self, "surrogate_kernel", DEFAULT_SURROGATE_KERNEL)
         if self.kind == UPPER_BOUND:
             if self.gradient_bound is None:
                 raise ValueError("upper_bound strategy needs a gradient_bound")

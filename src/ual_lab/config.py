@@ -40,6 +40,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SyntheticTargetSpec:
+    kind: str  # "synthetic"
     order: int
     family: str
     noise_variance: float
@@ -47,6 +48,7 @@ class SyntheticTargetSpec:
 
 @dataclass(frozen=True)
 class DatasetTargetSpec:
+    kind: str  # "dataset"
     schema: str
     path: str
     test_fraction: float
@@ -123,9 +125,10 @@ class Section:
     ``table`` maps each JSON key, also a field name of ``cls``, to
     ``(type, default, rule)``. A type is ``int``, ``float``, ``str`` or
     ``bool`` (or a tuple of these), a Section, a dict of sections keyed by the
-    object's ``kind``, or ``[type]`` for a list; a ``float`` must be
-    finite. A default is ``REQUIRED`` or JSON data, read like a given value. A
-    rule is None or ``(predicate, message shown when it fails)``.
+    object's ``kind`` (which each such ``cls`` keeps in its ``kind`` field), or
+    ``[type]`` for a list; a ``float`` must be finite. A default is
+    ``REQUIRED`` or JSON data, read like a given value. A rule is None or
+    ``(predicate, message shown when it fails)``.
     """
 
     cls: type
@@ -190,9 +193,7 @@ def _read_kind(sections: dict, raw: dict, path: str, default=REQUIRED):
     section = sections.get(kind) if isinstance(kind, str) else None
     if section is None:
         raise ConfigError(f"{_key_path(path, 'kind')}: unknown kind {kind!r}")
-    # targets carry their kind in their type; models, strategies and kernels in a field
-    given = {"kind": kind} if "kind" in section.cls.__dataclass_fields__ else {}
-    return _read_section(section, raw, path, **given)
+    return _read_section(section, raw, path, kind=kind)
 
 
 def _dump(tp, value):
@@ -201,9 +202,7 @@ def _dump(tp, value):
     if isinstance(tp, list):
         return [_dump(tp[0], v) for v in value]
     if isinstance(tp, dict):
-        kind = next(kind for kind, section in tp.items()
-                    if isinstance(value, section.cls) and getattr(value, "kind", kind) == kind)
-        return {"kind": kind, **_dump(tp[kind], value)}
+        return {"kind": value.kind, **_dump(tp[value.kind], value)}
     return {key: _dump(field_type, getattr(value, key))
             for key, (field_type, _, _) in tp.table.items()}
 
@@ -313,7 +312,7 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         for n, entry_id in enumerate(ids):
             if entry_id in ids[:n]:
                 raise ConfigError(f"{key}: duplicate id {entry_id!r}; each entry needs its own id")
-    dataset = isinstance(cfg.target, DatasetTargetSpec)
+    dataset = cfg.target.kind == "dataset"
     bpr = any(m.kind == "bpr" for m in cfg.models)
     if dataset and bpr:
         raise ConfigError("models: polynomial models are univariate; dataset targets "

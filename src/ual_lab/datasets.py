@@ -3,18 +3,18 @@
 Files are user-supplied CSVs; schema JSON files declare the delimiter, the
 target column, the feature columns, and which of those are categorical
 (one-hot encoded at load), read by :mod:`ual_lab.config`'s JSON reader
-through the ``SCHEMA`` table. Rows with missing or unparseable values, or
-with more or fewer fields than the header, are dropped and counted; a
-header that repeats a schema column is rejected. No downloads happen
-here. ``split`` draws row indices and ``standardized`` scales both
-partitions by the train rows alone.
+through the ``SCHEMA`` table. A shipped schema id names the file
+``schemas/<id>.json`` next to this module; any other value is a path.
+Rows with missing or unparseable values, or with more or fewer fields
+than the header, are dropped and counted; a header that repeats a schema
+column is rejected. No downloads happen here. ``split`` draws row indices
+and ``standardized`` scales both partitions by the train rows alone.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Optional
 
@@ -31,8 +31,6 @@ __all__ = [
     "split",
     "standardized",
 ]
-
-BUILTIN_SCHEMAS = ("concrete", "facebook")
 
 
 @dataclass(frozen=True)
@@ -90,10 +88,9 @@ class TabularDataset:
 
 
 def load_schema(schema: str | Path) -> DatasetSchema:
-    """Resolve a built-in schema id or a path to a schema JSON file."""
-    if isinstance(schema, str) and schema in BUILTIN_SCHEMAS:
-        path = resources.files("ual_lab.schemas").joinpath(f"{schema}.json")
-    else:
+    """Read a shipped schema id or a path to a schema JSON file."""
+    path = Path(__file__).with_name("schemas") / f"{schema}.json"
+    if not path.is_file():
         path = Path(schema)
     try:
         # key paths read "<file>: schema.features[0]"
@@ -102,12 +99,11 @@ def load_schema(schema: str | Path) -> DatasetSchema:
         raise DataError(str(exc)) from exc
 
 
-def load_csv(path: str | Path, schema: str | Path | DatasetSchema) -> TabularDataset:
-    """Load a CSV under a schema; malformed rows are dropped, not imputed."""
-    if not isinstance(schema, DatasetSchema):
-        schema = load_schema(schema)
+def load_csv(path: str | Path, schema: str | Path) -> TabularDataset:
+    """Load a CSV under a schema id or file; malformed rows are dropped, not imputed."""
+    schema = load_schema(schema)
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"dataset file not found: {path}")
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:

@@ -22,7 +22,6 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from importlib import resources
 from pathlib import Path
 from typing import Optional
 
@@ -33,14 +32,7 @@ from . import __version__
 from .alloop import BprLearner, GprLearner, RunTrace, SyntheticOracle, run_al
 from .analysis import variance_proxy_gap
 from .bpr import default_prior
-from .config import (
-    DatasetTargetSpec,
-    ExperimentConfig,
-    ModelSpec,
-    config_to_dict,
-    parse_config,
-    parse_config_dict,
-)
+from .config import ExperimentConfig, ModelSpec, config_to_dict, parse_config, parse_config_dict
 from .datasets import TabularDataset, load_csv, split, standardized
 from .errors import ConfigError, UalLabError
 from .linalg import one_blas_thread
@@ -126,7 +118,7 @@ def _seed_runs(cfg: ExperimentConfig, seed: int,
     bound resolved. Every run reads the same labels and starts from the same
     initial candidate, so paired runs share their step 0.
     """
-    setup = _dataset_setup if isinstance(cfg.target, DatasetTargetSpec) else _synthetic_setup
+    setup = _dataset_setup if cfg.target.kind == "dataset" else _synthetic_setup
     candidates, labels, test, noise_variance, strategies = setup(cfg, seed, data)
     init_index = int(derive_rng(cfg.master_seed, seed, 2).integers(len(labels)))
 
@@ -182,7 +174,7 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateResults:
     target's file is loaded once, here, and the rows it dropped are counted
     in ``runtime``.
     """
-    dataset = isinstance(cfg.target, DatasetTargetSpec)
+    dataset = cfg.target.kind == "dataset"
     data = load_csv(cfg.target.path, cfg.target.schema) if dataset else None
     payloads = [(cfg, seed, data) for seed in range(cfg.n_seeds)]
     cores = len(os.sched_getaffinity(0))
@@ -289,18 +281,13 @@ def emit(results: AggregateResults, out_dir: str | Path, cfg: ExperimentConfig,
 
 
 def shipped_experiments() -> dict[str, Path]:
-    """Map of shipped experiment ids to their packaged config paths."""
-    root = resources.files("ual_lab.configs")
-    out = {}
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".json"):
-            out[entry.name[:-5]] = Path(str(entry))
-    return out
+    """Map of shipped experiment ids to their config files, ``configs/<id>.json``."""
+    return {path.stem: path for path in sorted(Path(__file__).with_name("configs").glob("*.json"))}
 
 
 def _resolve_config_arg(value: str) -> Path:
     path = Path(value)
-    if path.exists():
+    if path.is_file():  # a directory named like an id does not shadow it
         return path
     shipped = shipped_experiments()
     if value in shipped:

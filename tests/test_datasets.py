@@ -56,6 +56,10 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_csv("/nonexistent/file.csv", "concrete")
 
+    def test_directory_is_not_a_dataset_file(self, tmp_path):
+        with pytest.raises(DataError, match="dataset file not found"):
+            load_csv(tmp_path, "concrete")
+
     def test_header_mismatch(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")

@@ -374,6 +374,13 @@ class TestCli:
         assert main(["validate", "--config", "no_such_thing"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_directory_does_not_shadow_a_shipped_id(self, tmp_path, capsys, monkeypatch):
+        # `run --config fig5_discrepancy --out fig5_discrepancy` makes this directory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fig5_discrepancy").mkdir()
+        assert main(["validate", "--config", "fig5_discrepancy"]) == 0
+        assert capsys.readouterr().out.startswith("OK: fig5_discrepancy")
+
     def test_non_string_output_dir_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(_small_config(output_dir=5)))
