@@ -10,8 +10,10 @@ lower-order when its prior is the family's head block (the coordinates of
 
 Every closed form is evaluated on a grid ``xs`` for one set of training
 inputs (n,); the nine-term MSE and the gap also take an (S, n) stack of
-sets. Each set gets its own BLAS/LAPACK calls: its designs' products and
-its posterior covariance from :func:`~ual_lab.bpr.posterior_update` (which
+sets. Every feature row comes from :func:`~ual_lab.bpr.design_matrix`.
+Each set gets its own BLAS/LAPACK calls: its designs' products and its
+posterior covariance Sigma_p, one :func:`~ual_lab.bpr.posterior_update`
+on zero outputs, shared by every closed form and the oracle (Sigma_p
 does not depend on the outputs). Every term is then evaluated for all sets
 and x at once as row-local broadcast-and-sums, never matrix products, so
 each (set, x) result is bit-for-bit independent of the rest of the stack
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bpr import BprPosterior, BprPrior, design_matrix, feature_map, posterior_update
+from .bpr import BprPosterior, BprPrior, design_matrix, posterior_update
 from .errors import TruncationError
 from .linalg import chol_spd
 
@@ -158,7 +160,7 @@ def lower_order_mse(xs, family: BprPrior, prior: BprPrior, inputs
     cov_cross = family.cov[p + 1:, : p + 1]              # complement x head
     m_second = family.cov[p + 1:, p + 1:] + np.outer(mean_c, mean_c)
 
-    post_cov = posterior_update(prior, inputs, np.zeros(np.size(inputs))).cov
+    post_cov = _posterior_covs(prior, np.ravel(inputs))[0]  # (n, 1) is one set, not a stack
     head_to_c = phi_hat.T @ phi_c                        # Phi_hat^T Phi_c
 
     grid_full = design_matrix(xs, l)
@@ -205,8 +207,8 @@ def _affine_predictor(x: float, prior: BprPrior, inputs) -> tuple[float, float, 
     on the inputs serves every draw of y.
     """
     phi_hat = design_matrix(inputs, prior.degree)
-    phi_p = feature_map(x, prior.degree)
-    post_cov = posterior_update(prior, inputs, np.zeros(np.size(inputs))).cov
+    phi_p = design_matrix(x, prior.degree)[0]
+    post_cov = _posterior_covs(prior, inputs)[0]
     spread = float(phi_p @ post_cov @ phi_p)
     base = float(phi_p @ post_cov @ prior.precision @ prior.mean)
     v = (phi_hat @ (post_cov @ phi_p)) / prior.noise_variance
@@ -234,7 +236,7 @@ def mc_bias_variance(
     inputs = np.asarray(inputs, dtype=float).reshape(-1)
     variance, base, v = _affine_predictor(x, prior, inputs)
     phi_full = design_matrix(inputs, family.degree)
-    phi_l = feature_map(x, family.degree)
+    phi_l = design_matrix(x, family.degree)[0]
     family_chol = chol_spd(family.cov)
     sigma = math.sqrt(family.noise_variance)
 
@@ -275,7 +277,7 @@ def fixed_target_concentration(
     sigma = math.sqrt(prior.noise_variance)
     y = clean + sigma * rng.standard_normal((n_rep, inputs.size))
     preds = base + y @ v
-    f_x = float(feature_map(x, order) @ coefficients)
+    f_x = float(design_matrix(x, order)[0] @ coefficients)
     bias_sq = float((preds.mean() - f_x) ** 2)
     return bias_sq, variance
 

@@ -17,7 +17,6 @@ from .linalg import chol_spd, chol_solve_vec
 __all__ = [
     "BprPrior",
     "BprPosterior",
-    "feature_map",
     "design_matrix",
     "posterior_update",
     "prefix_posteriors",
@@ -26,15 +25,8 @@ __all__ = [
 ]
 
 
-def feature_map(x: float, degree: int) -> np.ndarray:
-    """phi(x, p) = [1, x, ..., x^p]."""
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    return np.power(float(x), np.arange(degree + 1))
-
-
 def design_matrix(xs, degree: int) -> np.ndarray:
-    """Rows of phi(x_i, p) for inputs (n,) or (n, 1); shape (n, p+1).
+    """Rows of phi(x_i, p) for inputs (n,), (n, 1) or one x; shape (n, p+1).
 
     Polynomial models are univariate: a 2-D input with more columns raises.
     """

@@ -79,10 +79,15 @@ def distances(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     return np.sqrt(total, out=total)
 
 
+def _points(xs) -> np.ndarray:
+    """Inputs as (n, d) rows: (n,) is n one-dimensional points, a scalar is one."""
+    xs = np.asarray(xs, dtype=float)
+    return xs.reshape(-1, 1) if xs.ndim < 2 else xs
+
+
 def kernel_matrix(spec: KernelSpec, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     """Cross-covariance matrix between row-stacked inputs."""
-    xa = np.atleast_2d(np.asarray(xa, dtype=float))
-    xb = np.atleast_2d(np.asarray(xb, dtype=float))
+    xa, xb = _points(xa), _points(xb)
     if xa.shape[1] != xb.shape[1]:
         raise ValueError(f"input dimension mismatch: {xa.shape[1]} vs {xb.shape[1]}")
     if spec.kind == LINEAR:
@@ -117,7 +122,7 @@ def gp_fit(
 ) -> GpModel:
     """Fit from scratch on at least one point: factor (K + sigma^2 I) as L L'
     and whiten the targets, z = L^-1 y."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    xs = _points(xs)
     ys = np.asarray(ys, dtype=float).reshape(-1)
     if ys.size == 0:
         raise ValueError("a GP needs at least one training point")
@@ -139,7 +144,7 @@ def gp_predict_batch(
     rather than latent posterior), the default so variance scores sit on
     the same scale as the parametric models'.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    xs = _points(xs)
     cross = _whitened(model, xs)  # (n, m)
     variances = _prior_diag(model.kernel, xs) - np.einsum("ij,ij->j", cross, cross)
     if include_noise:
@@ -159,7 +164,7 @@ def prefix_predictions(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
     means are running sums of V's rows weighted by z and the variances
     k(p, p) minus running sums of V's squared rows.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _points(points)
     cross = _whitened(model, points)
     latent = np.square(cross)
     np.cumsum(latent, axis=0, out=latent)
@@ -202,7 +207,7 @@ class PoolPredictions:
         include_noise=False)``; ``capacity`` bounds the training points,
         appended ones included.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        points = _points(points)
         n = model.n_train
         self._kernel = model.kernel
         self._noise_variance = model.noise_variance

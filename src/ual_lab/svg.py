@@ -82,9 +82,7 @@ def line_chart(
         'fill="none" stroke="#333333" stroke-width="1"/>'
     )
     # y ticks: one per decade
-    for val in range(math.floor(y_min), math.ceil(y_max) + 1):
-        if not y_min <= val <= y_max:
-            continue
+    for val in range(math.ceil(y_min), math.floor(y_max) + 1):
         y_pix = margin_t + (y_max - val) / (y_max - y_min) * plot_h
         parts.append(
             f'<line x1="{margin_l - 4}" y1="{y_pix:.1f}" x2="{margin_l}" y2="{y_pix:.1f}" '

@@ -58,8 +58,6 @@ class TestSet:
 
     def __post_init__(self):
         inputs = np.asarray(self.inputs, dtype=float)
-        if inputs.ndim == 1:
-            inputs = inputs[:, None]
         observed = np.asarray(self.observed_outputs, dtype=float)
         if inputs.shape[0] != observed.shape[0]:
             raise ValueError("inputs and observed_outputs must have equal length")

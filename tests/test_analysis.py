@@ -15,7 +15,6 @@ from ual_lab.bpr import (
     BprPrior,
     default_prior,
     design_matrix,
-    feature_map,
     posterior_update,
     predictive_batch,
 )
@@ -36,9 +35,9 @@ def _head_prior(family, p):
 
 
 # Per-point references: each closed form read directly off its per-x
-# formula, one x and one feature_map per iteration, with matrix products in
-# BLAS order. The array forms sum in another order, so they must agree with
-# these to rounding (1e-12 relative), not bit for bit.
+# formula, one x and one np.power feature row per iteration, with matrix
+# products in BLAS order. The array forms sum in another order, so they must
+# agree with these to rounding (1e-12 relative), not bit for bit.
 
 
 def _terms_per_point(xs, family, prior, inputs):
@@ -55,8 +54,8 @@ def _terms_per_point(xs, family, prior, inputs):
     xs = np.asarray(xs, dtype=float).reshape(-1)
     terms = np.empty((xs.size, 9))
     for t, x in zip(terms, xs):
-        phi_l = feature_map(x, family.degree)
-        phi_p = feature_map(x, prior.degree)
+        phi_l = np.power(float(x), np.arange(family.degree + 1))
+        phi_p = np.power(float(x), np.arange(prior.degree + 1))
         sp_phi = post_cov @ phi_p
         b_vec = cross.T @ sp_phi
         t[0] = phi_l @ second_moment @ phi_l
@@ -85,7 +84,7 @@ def _lower_order_per_point(xs, family, prior, inputs):
     out = np.empty((3, xs.size))
     for i, x in enumerate(xs):
         c_phi = np.power(float(x), np.arange(p + 1, l + 1))
-        q_phi = feature_map(x, p)
+        q_phi = np.power(float(x), np.arange(p + 1))
         sp_q = post_cov @ q_phi
         t1 = float(c_phi @ m_second @ c_phi)
         t2 = -(2.0 / sig2) * float(sp_q @ head_to_c @ m_second @ c_phi)
@@ -99,7 +98,8 @@ def _lower_order_per_point(xs, family, prior, inputs):
 
 
 def _matched_per_point(xs, post):
-    phis = (feature_map(x, post.degree) for x in np.asarray(xs, dtype=float).reshape(-1))
+    phis = (np.power(float(x), np.arange(post.degree + 1))
+            for x in np.asarray(xs, dtype=float).reshape(-1))
     return 2.0 * np.array([phi @ post.cov @ phi for phi in phis])
 
 
@@ -227,6 +227,9 @@ class TestLowerOrderMse:
         got = np.array(lower_order_mse(grid, fam, prior, inputs))
         np.testing.assert_allclose(got, _lower_order_per_point(grid, fam, prior, inputs),
                                    rtol=1e-12, atol=0)
+        # one set of inputs as one column reads as n points, as design_matrix reads it
+        np.testing.assert_array_equal(np.array(lower_order_mse(grid, fam, prior,
+                                                               inputs[:, None])), got)
         _assert_rows_independent(lambda g: np.array(lower_order_mse(g, fam, prior, inputs)),
                                  grid)
 

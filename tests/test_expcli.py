@@ -44,6 +44,22 @@ def _small_config(**overrides):
     return raw
 
 
+def _discrepancy_config(**overrides):
+    raw = {
+        "experiment_id": "disc",
+        "kind": "discrepancy",
+        "master_seed": 3,
+        "n_seeds": 4,
+        "n_train": 10,
+        "target": {"kind": "synthetic", "order": 3,
+                   "family": "pure-polynomial", "noise_variance": 1.0},
+        "grid": {"n": 9, "lo": -2.0, "hi": 2.0, "layout": "grid"},
+        "models": [{"kind": "bpr", "degree": 1}, {"kind": "bpr", "degree": 3}],
+    }
+    raw.update(overrides)
+    return raw
+
+
 _DATASET_TARGET = {"kind": "dataset", "schema": "concrete", "path": "x.csv",
                    "test_fraction": 0.25, "subsample": None, "model_noise_variance": 0.1}
 
@@ -87,6 +103,12 @@ class TestParseConfig:
         pytest.param({"pool": None}, "config: missing required key 'pool'", id="pool-null"),
         pytest.param({"n_seeds": True}, "n_seeds:", id="bool-is-not-int"),
         pytest.param({"models": [5]}, "models[0]:", id="model-not-object"),
+        pytest.param({"models": [{"degree": 2}]}, "models[0]: missing required key 'kind'",
+                     id="model-without-kind"),
+        pytest.param({"target": _DATASET_TARGET,
+                      "models": [{"kind": "gpr", "kernel": {"kind": "rbf"}}]},
+                     "pool/test: dataset targets derive these from the split",
+                     id="dataset-target-with-pool-and-test"),
         pytest.param({"strategies": [{"kind": ["variance"]}]}, "strategies[0].kind:",
                      id="strategy-kind-unhashable"),
         pytest.param({"test": {"n": 4, "lo": 2.0, "hi": -2.0}}, "test:", id="empty-span"),
@@ -130,11 +152,18 @@ class TestParseConfig:
                      "pool.hi: expected a finite number", id="infinite-span-end"),
         pytest.param({"pool": {"n": 20, "lo": -2.0, "hi": 10**400}},
                      "pool.hi: expected a finite number", id="integer-beyond-float-range"),
-        # file text, since a dict cannot hold a repeated key; the message names the file
+        # file text, for what overrides of _small_config cannot hold: a repeated key
+        # (the message names the file), a value that is not an object, another kind
         pytest.param(json.dumps(_small_config())[:-1] + ', "budget": 199}',
                      "{file}: duplicate key 'budget'", id="repeated-top-key"),
         pytest.param(json.dumps(_small_config()).replace('"order": 3', '"order": 3, "order": 1'),
                      "{file}: duplicate key 'order'", id="repeated-nested-key"),
+        pytest.param(json.dumps([_small_config()]), "config: expected an object",
+                     id="array-not-object"),
+        pytest.param(json.dumps(_discrepancy_config(
+                         models=[{"kind": "gpr", "kernel": {"kind": "rbf"}}])),
+                     "models: discrepancy experiments use bpr models only",
+                     id="discrepancy-gpr-model"),
     ])
     def test_malformed_config_names_key(self, overrides, key_path, tmp_path):
         path = tmp_path / "config.json"
@@ -285,22 +314,6 @@ class TestEmit:
         line = (emitted / "traces.csv").read_text().splitlines()[1]
         mse = line.split(",")[7]
         assert float(mse) == float(f"{float(mse):.17g}")
-
-
-def _discrepancy_config(**overrides):
-    raw = {
-        "experiment_id": "disc",
-        "kind": "discrepancy",
-        "master_seed": 3,
-        "n_seeds": 4,
-        "n_train": 10,
-        "target": {"kind": "synthetic", "order": 3,
-                   "family": "pure-polynomial", "noise_variance": 1.0},
-        "grid": {"n": 9, "lo": -2.0, "hi": 2.0, "layout": "grid"},
-        "models": [{"kind": "bpr", "degree": 1}, {"kind": "bpr", "degree": 3}],
-    }
-    raw.update(overrides)
-    return raw
 
 
 def _per_seed_gaps(cfg):
@@ -470,6 +483,8 @@ class TestCli:
                      id="empty-test"),
         pytest.param({"test_fraction": 0.99}, "empty train partition (40 test, 0 train)",
                      id="empty-train"),
+        pytest.param({"test_fraction": 0.95}, "budget: 2 exceeds train split capacity 2 - 1",
+                     id="budget-over-train-split"),
     ])
     def test_bad_dataset_split_exits_2(self, tmp_path, capsys, split_keys, message):
         from conftest import write_concrete_csv

@@ -142,6 +142,29 @@ def test_linear_kernel_equals_degree_one_regression():
         np.testing.assert_allclose(gp_var, bpr_var, atol=1e-8)
 
 
+def test_a_flat_array_is_one_dimensional_points():
+    # (n,) is n points of one dimension, as design_matrix and build_pool read it
+    rng = derive_rng(36, 0)
+    xs, ys, qs = rng.uniform(-2, 2, 6), rng.standard_normal(6), rng.uniform(-2, 2, 9)
+    for kind in ("linear", "rbf", "matern52"):
+        spec = KernelSpec(kind)
+        np.testing.assert_array_equal(kernel_matrix(spec, xs, xs),
+                                      kernel_matrix(spec, xs[:, None], xs[:, None]))
+        np.testing.assert_array_equal(kernel_matrix(spec, xs[0], qs),
+                                      kernel_matrix(spec, xs[:1, None], qs[:, None]))
+        flat, column = gp_fit(spec, xs, ys, 0.5), gp_fit(spec, xs[:, None], ys, 0.5)
+        for got, want in ((gp_predict_batch(flat, qs), gp_predict_batch(column, qs[:, None])),
+                          (prefix_predictions(flat, qs), prefix_predictions(column, qs[:, None]))):
+            np.testing.assert_array_equal(got, want)
+        means, latent = gp_predict_batch(column, qs[:, None], include_noise=False)
+        pools = [PoolPredictions(column, points, means, latent, 7)
+                 for points in (qs, qs[:, None])]
+        for pool in pools:
+            pool.append(4, 1.5)
+        np.testing.assert_array_equal(pools[0].means, pools[1].means)
+        np.testing.assert_array_equal(pools[0].latent, pools[1].latent)
+
+
 @st.composite
 def _append_cases(draw):
     """A kernel, a noise level, a 1-D or 2-D pool with near-duplicates mixed in, and

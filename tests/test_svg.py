@@ -84,3 +84,12 @@ def test_a_positive_band_sets_the_range():
     ys_px = sorted(y for _, y in _polygon_points(root))
     assert ys_px[0] == pytest.approx(top, abs=0.01)
     assert ys_px[-1] == pytest.approx(bottom, abs=0.01)
+
+
+def test_one_point_gets_unit_spans():
+    # a budget-0 run's chart: one step and one value set both axis ranges to one unit
+    root = _parse(line_chart("t", "x", "y", [Series("s", [0.0], [10.0])]))
+    assert _decades(root) == [1, 2]
+    left, _, _, bottom = _frame(root)
+    [polyline] = root.findall("svg:polyline", NS)
+    assert tuple(map(float, polyline.get("points").split(","))) == (left, bottom)
