@@ -8,21 +8,22 @@ own prior. The model is matched when its prior equals the family, and
 lower-order when its prior is the family's head block (the coordinates of
 1..x^p).
 
-Every closed form is evaluated on a grid ``xs`` for one set of training
-inputs (n,); the nine-term MSE and the gap also take an (S, n) stack of
-sets. Every feature row comes from :func:`~ual_lab.bpr.design_matrix`.
-Each set gets its own BLAS/LAPACK calls: its designs' products and its
-posterior covariance Sigma_p, one :func:`~ual_lab.bpr.posterior_update`
-on zero outputs, shared by every closed form and the oracle (Sigma_p
-does not depend on the outputs). Every term is then evaluated for all sets
-and x at once as row-local broadcast-and-sums, never matrix products, so
-each (set, x) result is bit-for-bit independent of the rest of the stack
-and grid. The expected squared error of the posterior-mean prediction (plus
-the posterior spread) has a nine-term closed form, which collapses to twice
-the predictive quadratic form when the model is matched, and to a six-term
-block expression when it is lower-order. Each identity is kept
-term-by-term, unsimplified: the tests' job is to confirm the algebra against
-a Monte-Carlo oracle, so no terms are merged ahead of time.
+Every feature row comes from :func:`~ual_lab.bpr.design_matrix`, and a closed
+form or oracle on one set of training inputs reads the set as it does, (n,) or
+an (n, 1) column, and raises on a stack. The nine-term MSE and the gap also
+take an (S, n) stack; there every 2-D input is a stack whose rows are sets, so
+one set is passed as (n,). Each set gets its own BLAS/LAPACK calls: its
+designs' products and its posterior covariance Sigma_p, one
+:func:`~ual_lab.bpr.posterior_update` on zero outputs, shared by every closed
+form and the oracle (Sigma_p does not depend on the outputs). Every term is
+then evaluated for all sets and x at once as row-local broadcast-and-sums,
+never matrix products, so each (set, x) result is bit-for-bit independent of
+the rest of the stack and grid. The expected squared error of the
+posterior-mean prediction (plus the posterior spread) has a nine-term closed
+form, which collapses to twice the predictive quadratic form when the model is
+matched, and to a six-term block expression when it is lower-order. Each
+identity is kept term-by-term, unsimplified: the tests' job is to confirm the
+algebra against a Monte-Carlo oracle, so no terms are merged ahead of time.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def _row_dot(a, b) -> np.ndarray:
 
 
 def _stack(inputs) -> np.ndarray:
-    """Training inputs as an (S, n) stack of sets; one set (n,) is a stack of one."""
+    """Inputs as an (S, n) stack of sets: every 2-D input, (S, 1) too; (n,) is a stack of one."""
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim > 2:
         raise ValueError("inputs must be one set (n,) or a stack of sets (S, n)")
@@ -208,7 +209,7 @@ def _affine_predictor(x: float, prior: BprPrior, inputs) -> tuple[float, float, 
     """
     phi_hat = design_matrix(inputs, prior.degree)
     phi_p = design_matrix(x, prior.degree)[0]
-    post_cov = _posterior_covs(prior, inputs)[0]
+    post_cov = _posterior_covs(prior, np.ravel(inputs))[0]
     spread = float(phi_p @ post_cov @ phi_p)
     base = float(phi_p @ post_cov @ prior.precision @ prior.mean)
     v = (phi_hat @ (post_cov @ phi_p)) / prior.noise_variance
@@ -233,7 +234,6 @@ def mc_bias_variance(
     """
     if n_mc < 1000:
         raise ValueError("need at least 1e3 Monte-Carlo samples")
-    inputs = np.asarray(inputs, dtype=float).reshape(-1)
     variance, base, v = _affine_predictor(x, prior, inputs)
     phi_full = design_matrix(inputs, family.degree)
     phi_l = design_matrix(x, family.degree)[0]
@@ -245,7 +245,7 @@ def mc_bias_variance(
     for b in range(_MC_BATCHES):
         size = per_batch if b < _MC_BATCHES - 1 else n_mc - per_batch * (_MC_BATCHES - 1)
         w = family.mean + rng.standard_normal((size, family.degree + 1)) @ family_chol.T
-        y = w @ phi_full.T + sigma * rng.standard_normal((size, inputs.size))
+        y = w @ phi_full.T + sigma * rng.standard_normal((size, len(phi_full)))
         batch_means[b] = np.mean((w @ phi_l - (base + y @ v)) ** 2)
     bias = float(batch_means.mean())
     se = float(batch_means.std(ddof=1) / math.sqrt(_MC_BATCHES))
@@ -269,13 +269,12 @@ def fixed_target_concentration(
     spread decays ~1/n.
     """
     coefficients = np.asarray(coefficients, dtype=float).reshape(-1)
-    inputs = np.asarray(inputs, dtype=float).reshape(-1)
     order = coefficients.size - 1
     variance, base, v = _affine_predictor(x, prior, inputs)
 
     clean = design_matrix(inputs, order) @ coefficients
     sigma = math.sqrt(prior.noise_variance)
-    y = clean + sigma * rng.standard_normal((n_rep, inputs.size))
+    y = clean + sigma * rng.standard_normal((n_rep, len(clean)))
     preds = base + y @ v
     f_x = float(design_matrix(x, order)[0] @ coefficients)
     bias_sq = float((preds.mean() - f_x) ** 2)

@@ -28,11 +28,11 @@ __all__ = [
 def design_matrix(xs, degree: int) -> np.ndarray:
     """Rows of phi(x_i, p) for inputs (n,), (n, 1) or one x; shape (n, p+1).
 
-    Polynomial models are univariate: a 2-D input with more columns raises.
+    Polynomial models are univariate: any other shape of input raises.
     """
     xs = np.asarray(xs, dtype=float)
-    if xs.ndim == 2 and xs.shape[1] != 1:
-        raise ValueError("polynomial models are univariate")
+    if xs.ndim > 1 and xs.shape[1:] != (1,):
+        raise ValueError(f"polynomial models are univariate; got inputs of shape {xs.shape}")
     return np.vander(xs.reshape(-1), degree + 1, increasing=True)
 
 
@@ -94,9 +94,9 @@ def posterior_update(prior: BprPrior, xs, ys) -> BprPosterior:
     precision matrix is never inverted naively.
     """
     phi = design_matrix(xs, prior.degree)
-    ys = np.asarray(ys, dtype=float).reshape(-1)
-    if len(phi) != ys.size:
-        raise ValueError("xs and ys must have equal length")
+    ys = np.asarray(ys, dtype=float)
+    if ys.shape != (len(phi),):
+        raise ValueError(f"ys of shape {ys.shape} do not match the {len(phi)} inputs")
     if ys.size == 0:
         return BprPosterior(prior.degree, prior.mean.copy(), prior.cov.copy(),
                             prior.noise_variance)
@@ -119,9 +119,9 @@ def prefix_posteriors(prior: BprPrior, xs, ys) -> tuple[np.ndarray, np.ndarray]:
     ``ValueError``, as the Cholesky solve does there.
     """
     phi = design_matrix(xs, prior.degree)
-    ys = np.asarray(ys, dtype=float).reshape(-1)
-    if len(phi) != ys.size:
-        raise ValueError("xs and ys must have equal length")
+    ys = np.asarray(ys, dtype=float)
+    if ys.shape != (len(phi),):
+        raise ValueError(f"ys of shape {ys.shape} do not match the {len(phi)} inputs")
     if not np.isfinite(ys).all():
         raise ValueError(f"label {ys[~np.isfinite(ys)][0]} is not finite")
     n, k = phi.shape

@@ -123,11 +123,11 @@ def gp_fit(
     """Fit from scratch on at least one point: factor (K + sigma^2 I) as L L'
     and whiten the targets, z = L^-1 y."""
     xs = _points(xs)
-    ys = np.asarray(ys, dtype=float).reshape(-1)
+    ys = np.asarray(ys, dtype=float)
+    if ys.shape != (len(xs),):
+        raise ValueError(f"ys of shape {ys.shape} do not match the {len(xs)} inputs")
     if ys.size == 0:
         raise ValueError("a GP needs at least one training point")
-    if xs.shape[0] != ys.shape[0]:
-        raise ValueError("xs and ys must have equal length")
     if noise_variance < 0:
         raise ValueError("noise_variance must be >= 0")
     gram = kernel_matrix(spec, xs, xs) + noise_variance * np.eye(xs.shape[0])

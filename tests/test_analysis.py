@@ -294,6 +294,34 @@ class TestMcBiasVariance:
             mc_bias_variance(0.0, prior, prior, np.linspace(-2, 2, 5), 10, derive_rng(62, 0))
 
 
+class TestOneSetOracles:
+    # The oracles read their one set of training inputs as design_matrix
+    # does: an (n, 1) column is that set, and a stack of sets raises.
+
+    def test_a_stack_raises(self):
+        fam, prior = default_prior(2, 1.0), default_prior(1, 1.0)
+        stack = derive_rng(70, 0).uniform(-2, 2, (2, 4))
+        for call in (lambda: mc_bias_variance(0.3, fam, prior, stack, 1000, derive_rng(70, 1)),
+                     lambda: fixed_target_concentration(0.3, [1.0, -0.5, 0.2], prior, stack,
+                                                        50, derive_rng(70, 2))):
+            with pytest.raises(ValueError, match=r"univariate; got inputs of shape \(2, 4\)"):
+                call()
+
+    def test_a_column_is_the_set(self):
+        fam, prior = default_prior(3, 1.0), default_prior(1, 1.0)
+        inputs = derive_rng(71, 0).uniform(-2, 2, 7)
+        for x in (-1.1, 0.3):
+            flat = mc_bias_variance(x, fam, prior, inputs, 2000, derive_rng(71, 1))
+            column = mc_bias_variance(x, fam, prior, inputs[:, None], 2000, derive_rng(71, 1))
+            assert column == flat
+            coefficients = [0.5, -1.0, 0.25, 0.1]
+            flat = fixed_target_concentration(x, coefficients, prior, inputs, 50,
+                                              derive_rng(71, 2))
+            column = fixed_target_concentration(x, coefficients, prior, inputs[:, None], 50,
+                                                derive_rng(71, 2))
+            assert column == flat
+
+
 def test_fixed_target_bias_shrinks_faster_than_spread():
     # matched model, many data: squared bias of the averaged prediction is
     # an order of magnitude below the posterior spread
@@ -384,6 +412,17 @@ class TestStackOfTrainingSets:
         assert variance_proxy_gap(grid, fam, prior, inputs).shape == (11,)
         assert closed_form_mse_terms(grid, fam, prior, inputs[None]).shape == (1, 11, 9)
         assert variance_proxy_gap(grid, fam, prior, inputs[None]).shape == (1, 11)
+
+    def test_a_column_is_a_stack_of_one_point_sets(self):
+        # a 2-D input is always a stack: an (n, 1) column is n sets of one point
+        rng = derive_rng(72, 0)
+        fam, grid = _random_family(rng, 3), np.linspace(-2, 2, 11)
+        column = rng.uniform(-2, 2, (6, 1))
+        for p in range(4):
+            prior = _head_prior(fam, p)
+            np.testing.assert_array_equal(
+                closed_form_mse(grid, fam, prior, column),
+                np.array([closed_form_mse(grid, fam, prior, [c]) for c in column.ravel()]))
 
     def test_three_dimensional_inputs_raise(self):
         fam = default_prior(2, 1.0)

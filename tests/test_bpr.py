@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from ual_lab.bpr import (
     prefix_posteriors,
 )
 from ual_lab.errors import NumericalError
+from ual_lab.gpr import KernelSpec, gp_fit
 from ual_lab.rng import derive_rng
 
 
@@ -28,6 +31,22 @@ class TestFeatureMap:
                      lambda: prefix_posteriors(prior, np.ones((3, 2)), np.ones(6))):
             with pytest.raises(ValueError, match="univariate"):
                 call()
+
+    def test_design_matrix_error_names_the_shape(self):
+        for shape in ((2, 4), (3, 1, 1)):
+            message = re.escape(f"univariate; got inputs of shape {shape}")
+            with pytest.raises(ValueError, match=message):
+                design_matrix(np.zeros(shape), 1)
+
+
+def test_outputs_of_another_shape_raise():
+    # one output per input: a (2, 2) array for 4 inputs is not read as 4 outputs
+    xs, ys = [0.0, 1.0, 2.0, 3.0], [[1.0, 2.0], [3.0, 4.0]]
+    for call in (lambda: posterior_update(default_prior(1), xs, ys),
+                 lambda: prefix_posteriors(default_prior(1), xs, ys),
+                 lambda: gp_fit(KernelSpec("rbf"), xs, ys, 1.0)):
+        with pytest.raises(ValueError, match=r"ys of shape \(2, 2\) do not match the 4 inputs"):
+            call()
 
 
 class TestPosteriorUpdate:
