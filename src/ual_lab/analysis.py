@@ -12,18 +12,17 @@ Every feature row comes from :func:`~ual_lab.bpr.design_matrix`, and a closed
 form or oracle on one set of training inputs reads the set as it does, (n,) or
 an (n, 1) column, and raises on a stack. The nine-term MSE and the gap also
 take an (S, n) stack; there every 2-D input is a stack whose rows are sets, so
-one set is passed as (n,). Each set gets its own BLAS/LAPACK calls: its
-designs' products and its posterior covariance Sigma_p, one
-:func:`~ual_lab.bpr.posterior_update` on zero outputs, shared by every closed
-form and the oracle (Sigma_p does not depend on the outputs). Every term is
-then evaluated for all sets and x at once as row-local broadcast-and-sums,
-never matrix products, so each (set, x) result is bit-for-bit independent of
-the rest of the stack and grid. The expected squared error of the
-posterior-mean prediction (plus the posterior spread) has a nine-term closed
-form, which collapses to twice the predictive quadratic form when the model is
-matched, and to a six-term block expression when it is lower-order. Each
-identity is kept term-by-term, unsimplified: the tests' job is to confirm the
-algebra against a Monte-Carlo oracle, so no terms are merged ahead of time.
+one set is passed as (n,). Stacked numpy matmuls and Choleskys run one routine
+per set, so the design products and the posterior covariances Sigma_p (those of
+:func:`~ual_lab.bpr.posterior_update`; all forms and the oracle share them) have
+each set's own bits, and the grid terms are row-local broadcast sums, never
+matrix products: no (set, x) result depends on the rest of the stack or grid.
+The expected squared error of the posterior-mean prediction (plus the posterior
+spread) has a nine-term closed form, which collapses to twice the predictive
+quadratic form when the model is matched, and to a six-term block expression
+when it is lower-order. Each identity is kept term-by-term, unsimplified: the
+tests' job is to confirm the algebra against a Monte-Carlo oracle, so no terms
+are merged ahead of time.
 """
 
 from __future__ import annotations
@@ -33,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bpr import BprPosterior, BprPrior, design_matrix, posterior_update
+from .bpr import BprPosterior, BprPrior, _precision_factor, design_matrix
 from .errors import TruncationError
-from .linalg import chol_spd
+from .linalg import chol_solve_vec, chol_spd
 
 __all__ = [
     "DecompositionReport",
@@ -62,26 +61,32 @@ def _check_noise(family: BprPrior, prior: BprPrior) -> None:
 
 
 def _row_mat(rows, mat) -> np.ndarray:
-    """rows[..., i, :] @ mat for every row (leading axes broadcast); never mixes rows."""
-    return (rows[..., :, None] * mat[..., None, :, :]).sum(axis=-2)
+    """rows[..., i, :] @ mat per row (leading axes broadcast), its k products added in order."""
+    out = rows[..., :0] @ mat[..., :0, :]  # zeros of the result's shape
+    for i in range(rows.shape[-1]):
+        out += rows[..., :, i, None] * mat[..., None, i, :]
+    return out
 
 
 def _row_dot(a, b) -> np.ndarray:
     return (a * b).sum(axis=-1)
 
 
-def _stack(inputs) -> np.ndarray:
-    """Inputs as an (S, n) stack of sets: every 2-D input, (S, 1) too; (n,) is a stack of one."""
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim > 2:
+def _designs(inputs, degree: int) -> np.ndarray:
+    """(S, n, degree + 1) designs of an (S, n) stack: any 2-D input, (S, 1) too; (n,) one set."""
+    sets = np.atleast_2d(np.asarray(inputs, dtype=float))
+    if sets.ndim > 2:
         raise ValueError("inputs must be one set (n,) or a stack of sets (S, n)")
-    return np.atleast_2d(inputs)
+    return design_matrix(sets.reshape(-1), degree).reshape(*sets.shape, degree + 1)
 
 
-def _posterior_covs(prior: BprPrior, inputs) -> np.ndarray:
-    """(S, k, k) posterior covariances of the stacked sets, one LAPACK pass per set."""
-    return np.array([posterior_update(prior, one, np.zeros(one.size)).cov
-                     for one in _stack(inputs)])
+def _posterior_covs(prior: BprPrior, phis: np.ndarray) -> np.ndarray:
+    """(S, k, k) Sigma_p of (S, n, k) designs, posterior_update's bits (no rows: the prior)."""
+    if phis.shape[1] == 0:
+        return np.repeat(prior.cov[None], len(phis), axis=0)
+    eye = np.eye(prior.degree + 1)
+    covs = np.array([chol_solve_vec(lower, eye) for lower in _precision_factor(prior, phis)])
+    return 0.5 * (covs + covs.mT)
 
 
 def closed_form_mse_terms(xs, family: BprPrior, prior: BprPrior, inputs) -> np.ndarray:
@@ -91,18 +96,16 @@ def closed_form_mse_terms(xs, family: BprPrior, prior: BprPrior, inputs) -> np.n
     (n,), or (S, len(xs), 9) for an (S, n) stack of sets.
     """
     _check_noise(family, prior)
-    sets = _stack(inputs)
     sig2 = prior.noise_variance
     mu, sigma = family.mean, family.cov
-    # BLAS and LAPACK run once per set, so a set's bits do not depend on the stack
-    post_cov = _posterior_covs(prior, sets)              # Sigma_p
+    # stacked matmuls run one BLAS routine per set, so a set's bits do not depend on the stack
+    phi_hats = _designs(inputs, prior.degree)
+    post_cov = _posterior_covs(prior, phi_hats)          # Sigma_p
     second_moment = np.outer(mu, mu) + sigma             # E[w w^T]
     shrink = prior.precision @ prior.mean                # Sigma_hat^{-1} mu_hat
-    a_vec = np.array([cov @ shrink for cov in post_cov])  # Sigma_p Sigma_hat^{-1} mu_hat
-    phi_hats = [design_matrix(one, prior.degree) for one in sets]
-    cross = np.array([h.T @ design_matrix(one, family.degree)   # Phi_hat^T Phi
-                      for h, one in zip(phi_hats, sets)])
-    gram = np.array([h.T @ h for h in phi_hats])         # Phi_hat^T Phi_hat
+    a_vec = post_cov @ shrink                            # Sigma_p Sigma_hat^{-1} mu_hat
+    cross = phi_hats.mT @ _designs(inputs, family.degree)  # Phi_hat^T Phi
+    gram = phi_hats.mT @ phi_hats                        # Phi_hat^T Phi_hat
 
     phi_l = design_matrix(xs, family.degree)             # one row per grid point
     phi_p = design_matrix(xs, prior.degree)
@@ -161,7 +164,7 @@ def lower_order_mse(xs, family: BprPrior, prior: BprPrior, inputs
     cov_cross = family.cov[p + 1:, : p + 1]              # complement x head
     m_second = family.cov[p + 1:, p + 1:] + np.outer(mean_c, mean_c)
 
-    post_cov = _posterior_covs(prior, np.ravel(inputs))[0]  # (n, 1) is one set, not a stack
+    post_cov = _posterior_covs(prior, phi_hat[None])[0]
     head_to_c = phi_hat.T @ phi_c                        # Phi_hat^T Phi_c
 
     grid_full = design_matrix(xs, l)
@@ -187,7 +190,7 @@ def variance_proxy_gap(xs, family: BprPrior, prior: BprPrior, inputs) -> np.ndar
     """
     mse = closed_form_mse(xs, family, prior, inputs)
     phis = design_matrix(xs, prior.degree)
-    spread = _row_dot(_row_mat(phis, _posterior_covs(prior, inputs)), phis)
+    spread = _row_dot(_row_mat(phis, _posterior_covs(prior, _designs(inputs, prior.degree))), phis)
     return np.abs(mse - 2.0 * spread.reshape(mse.shape))
 
 
@@ -209,7 +212,7 @@ def _affine_predictor(x: float, prior: BprPrior, inputs) -> tuple[float, float, 
     """
     phi_hat = design_matrix(inputs, prior.degree)
     phi_p = design_matrix(x, prior.degree)[0]
-    post_cov = _posterior_covs(prior, np.ravel(inputs))[0]
+    post_cov = _posterior_covs(prior, phi_hat[None])[0]
     spread = float(phi_p @ post_cov @ phi_p)
     base = float(phi_p @ post_cov @ prior.precision @ prior.mean)
     v = (phi_hat @ (post_cov @ phi_p)) / prior.noise_variance
@@ -268,7 +271,9 @@ def fixed_target_concentration(
     concentrating posterior this squared bias decays ~1/n^2 while the
     spread decays ~1/n.
     """
-    coefficients = np.asarray(coefficients, dtype=float).reshape(-1)
+    coefficients = np.asarray(coefficients, dtype=float)
+    if coefficients.ndim != 1:
+        raise ValueError(f"coefficients must be one vector; got shape {coefficients.shape}")
     order = coefficients.size - 1
     variance, base, v = _affine_predictor(x, prior, inputs)
 

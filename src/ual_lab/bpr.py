@@ -84,6 +84,11 @@ def default_prior(degree: int, noise_variance: float = 1.0) -> BprPrior:
     return BprPrior(degree, np.zeros(k), np.eye(k), noise_variance)
 
 
+def _precision_factor(prior: BprPrior, phi: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the posterior precision for designs (..., n, k)."""
+    return chol_spd(prior.precision + phi.mT @ phi / prior.noise_variance)
+
+
 def posterior_update(prior: BprPrior, xs, ys) -> BprPosterior:
     """Conjugate update on observations (xs, ys).
 
@@ -100,8 +105,7 @@ def posterior_update(prior: BprPrior, xs, ys) -> BprPosterior:
     if ys.size == 0:
         return BprPosterior(prior.degree, prior.mean.copy(), prior.cov.copy(),
                             prior.noise_variance)
-    precision = prior.precision + (phi.T @ phi) / prior.noise_variance
-    lower = chol_spd(precision)
+    lower = _precision_factor(prior, phi)
     cov = chol_solve_vec(lower, np.eye(prior.degree + 1))
     cov = 0.5 * (cov + cov.T)
     rhs = prior.precision @ prior.mean + (phi.T @ ys) / prior.noise_variance

@@ -1,13 +1,14 @@
 """Cholesky factorizations and solves, and the BLAS threads they run on.
 
 A failed factorization raises; nothing adds jitter, which would make the
-result depend on the jitter chosen. numpy's OpenBLAS serves ``cholesky``;
-scipy's serves the LAPACK routines ``dtrtrs`` and ``dpotrs``, called in
-scipy's f2py LAPACK module ``_flapack``, which is loaded from its file on
-its own: the scipy.linalg package around it loads some 250 more modules.
-On matrices this small (k <= 6 for BPR, a few hundred rows for a GP) extra
-threads only spin, so work runs inside ``one_blas_thread``; a pool worker
-enters it itself, since a spawned one inherits no count.
+result depend on the jitter chosen. numpy's OpenBLAS serves ``cholesky``, one
+call for a stack (scipy's ``dpotrf`` gave other bits on 2183 of 20,000
+fig3-shaped BPR precisions); scipy's serves ``dtrtrs`` and ``dpotrs``, called
+in its f2py LAPACK module ``_flapack``, loaded from its file on its own: the
+scipy.linalg package around it loads some 250 more modules. On matrices this
+small (k <= 6 for BPR, a few hundred rows for a GP) extra threads only spin,
+so work runs inside ``one_blas_thread``; a pool worker enters it itself,
+since a spawned one inherits no count.
 """
 
 from __future__ import annotations
@@ -61,13 +62,13 @@ _flapack = _load_flapack()
 
 
 def chol_spd(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of an SPD matrix; ``NumericalError`` if it is not one."""
+    """Lower Cholesky factor of an SPD matrix, or of each in a stack; else ``NumericalError``."""
     a = np.asarray(a, dtype=float)
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
-        n = a.shape[0]
-        raise NumericalError(f"Cholesky failed for {n}x{n} matrix: {exc}") from exc
+        n = a.shape[-1]
+        raise NumericalError(f"Cholesky failed for {n}x{n} matrix in {a.shape}: {exc}") from exc
 
 
 def chol_solve_vec(lower: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from html import escape
 from typing import Optional, Sequence
 
+import numpy as np
+
 __all__ = ["Series", "line_chart"]
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -61,12 +63,14 @@ def line_chart(
     if y_max == y_min:
         y_max = y_min + 1.0
 
-    def px(x: float) -> float:
-        return margin_l + (x - x_min) / (x_max - x_min) * plot_w
+    def px(xs) -> np.ndarray:
+        return margin_l + (np.asarray(xs, dtype=float) - x_min) / (x_max - x_min) * plot_w
 
-    def py(y: float) -> float:  # only a band point can fall outside the frame
-        return min(max(margin_t + (y_max - ty(y)) / (y_max - y_min) * plot_h, margin_t),
-                   margin_t + plot_h)
+    def points(xs, ys) -> list[str]:  # only a band point can fall outside the frame
+        t = np.array([ty(y) for y in ys], dtype=float)
+        py = np.minimum(np.maximum(margin_t + (y_max - t) / (y_max - y_min) * plot_h, margin_t),
+                        margin_t + plot_h)
+        return list(map("{:.2f},{:.2f}".format, px(xs).tolist(), py.tolist()))
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -117,17 +121,13 @@ def line_chart(
     for i, s in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         if s.band_low is not None and s.band_high is not None:
-            forward = [f"{px(x):.2f},{py(y):.2f}" for x, y in zip(s.xs, s.band_high)]
-            backward = [f"{px(x):.2f},{py(y):.2f}"
-                        for x, y in zip(reversed(list(s.xs)), reversed(list(s.band_low)))]
+            backward = points(list(s.xs)[::-1], list(s.band_low)[::-1])
             parts.append(
-                f'<polygon points="{" ".join(forward + backward)}" '
+                f'<polygon points="{" ".join(points(s.xs, s.band_high) + backward)}" '
                 f'fill="{color}" fill-opacity="0.15" stroke="none"/>'
             )
-        points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(s.xs, s.ys))
-        parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
+        line = " ".join(points(s.xs, s.ys))
+        parts.append(f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="1.5"/>')
     # legend
     legend_x = margin_l + 10
     legend_y = margin_t + 14

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from ual_lab.analysis import (
+    _designs,
+    _posterior_covs,
+    _row_mat,
     bias_bound_check,
     closed_form_mse,
     closed_form_mse_terms,
@@ -337,6 +340,15 @@ def test_fixed_target_bias_shrinks_faster_than_spread():
     assert np.mean(biases) < 0.05 * np.mean(spreads)
 
 
+def test_fixed_target_coefficients_must_be_one_vector():
+    # a 2-D array used to be flattened into one longer polynomial
+    args = (default_prior(1), np.linspace(-2, 2, 6), 50)
+    with pytest.raises(ValueError, match=r"one vector; got shape \(2, 2\)"):
+        fixed_target_concentration(0.3, [[1.0, 2.0], [3.0, 4.0]], *args, derive_rng(1, 0))
+    assert (fixed_target_concentration(0.3, [1.0, 2.0, 3.0, 4.0], *args, derive_rng(1, 0))
+            == (60.19751181595941, 0.15023419203747068))
+
+
 class TestVarianceProxyGap:
     def test_matched_gap_vanishes(self):
         rng = derive_rng(64, 0)
@@ -386,15 +398,18 @@ _STACKED = (closed_form_mse_terms, closed_form_mse, variance_proxy_gap)
 
 class TestStackOfTrainingSets:
     # An (S, n) stack of training sets gives, per set, the bits of that set
-    # alone: BLAS and LAPACK run once per set, and the grid sums never mix sets.
+    # alone: numpy's stacked matmul and Cholesky run the same routine on each
+    # set, and the grid sums never mix sets.
 
     @pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("n_sets", [1, 3])
+    @pytest.mark.parametrize("n_sets", [1, 3, 10])
     def test_stack_equals_single_calls(self, l, n_sets):
+        # 10 sets is the discrepancy benchmark's shape: 20 inputs each, a 50-point grid
+        n, n_grid = (20, 50) if n_sets == 10 else (9, 23)
         rng = derive_rng(67, l, n_sets)
         fam = _random_family(rng, l, noise=0.7)
-        grid = np.linspace(-2, 2, 23)
-        sets = rng.uniform(-2, 2, (n_sets, 9))
+        grid = np.linspace(-2, 2, n_grid)
+        sets = rng.uniform(-2, 2, (n_sets, n))
         for p in range(l + 1):
             prior = _head_prior(fam, p)
             for fn in _STACKED:
@@ -402,6 +417,32 @@ class TestStackOfTrainingSets:
                 single = np.array([fn(grid, fam, prior, one) for one in sets])
                 assert stacked.shape == single.shape
                 np.testing.assert_array_equal(stacked, single)
+
+    @pytest.mark.parametrize("n", [0, 1, 9, 20])
+    @pytest.mark.parametrize("n_sets", [1, 3, 10])
+    def test_posterior_covs_equal_posterior_update(self, n_sets, n):
+        # one stacked factor step gives each set posterior_update's Sigma_p, bit for bit
+        rng = derive_rng(74, n_sets, n)
+        fam = _random_family(rng, 5, noise=0.7)
+        sets = rng.uniform(-2, 2, (n_sets, n))
+        for p in range(6):
+            for prior in (default_prior(p, 0.7), _head_prior(fam, p)):
+                np.testing.assert_array_equal(
+                    _posterior_covs(prior, _designs(sets, p)),
+                    [posterior_update(prior, one, np.zeros(n)).cov for one in sets])
+
+    @pytest.mark.parametrize("rows_shape, mat_shape", [
+        ((7, 3), (3, 4)), ((5, 7, 3), (5, 3, 3)), ((7, 4), (5, 4, 2)), ((5, 7, 6), (6, 6)),
+        ((7, 0), (0, 0)), ((7, 0), (0, 3)), ((2, 7, 0), (2, 0, 3)), ((0, 3), (3, 3)),
+    ])
+    def test_row_mat_equals_broadcast_sum(self, rows_shape, mat_shape):
+        rng = derive_rng(75, *rows_shape, *mat_shape)
+        rows, mat = rng.standard_normal(rows_shape), rng.standard_normal(mat_shape)
+        rows[..., ::3, :] = -0.0  # signed zeros sum as they do in the reduction
+        want = (rows[..., :, None] * mat[..., None, :, :]).sum(axis=-2)
+        got = _row_mat(rows, mat)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_one_set_keeps_its_shapes(self):
         rng = derive_rng(68, 0)

@@ -99,3 +99,11 @@ def test_chol_spd_raises_on_a_singular_matrix_naming_its_size():
         chol_spd(gram)
     np.testing.assert_array_equal(chol_spd(gram + np.eye(5)),
                                   np.linalg.cholesky(gram + np.eye(5)))
+
+
+def test_chol_spd_names_the_shape_of_a_failing_stack():
+    stack = np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]], 2.0 * np.eye(2)])  # slice 1 is indefinite
+    with pytest.raises(NumericalError, match=r"2x2 matrix in \(3, 2, 2\)"):
+        chol_spd(stack)
+    np.testing.assert_array_equal(chol_spd(stack[::2]),
+                                  [np.linalg.cholesky(a) for a in stack[::2]])
